@@ -6,6 +6,12 @@ power spectral density is the squared magnitude of the unnormalized forward
 squared sample energy). Summing the PSD over the temporal frequency axis
 yields the 2D time-aggregated plane that the quality metric correlates.
 
+:func:`dft3`, :func:`psd3` and :func:`tpsd` follow that definition step by
+step. :func:`tpsd_of_tensor`, which the metric uses, computes the same plane
+per frame: by Parseval's theorem along the time axis it equals
+``(1/(M*N)) * sum_t |FFT2(frame_t)|^2``, so neither the 3D transform nor a
+stacked float64 tensor is needed.
+
 No window/taper is applied before the transform, and the mean (DC) is not
 subtracted; the plain periodogram is the estimator. The DC bin can be
 shifted to the plane center (``center_dc``) so that windowed neighborhoods
@@ -86,6 +92,14 @@ def _tensor_array(tensor: LumaTensor | np.ndarray) -> np.ndarray:
     return arr
 
 
+def _frame_arrays(tensor: LumaTensor | np.ndarray) -> list[np.ndarray]:
+    """The tensor's frames as 2D arrays, without stacking them."""
+    if isinstance(tensor, LumaTensor):
+        return [f.pixels for f in tensor.frames]
+    arr = _tensor_array(tensor)
+    return [arr[:, :, t] for t in range(arr.shape[2])]
+
+
 def dft3(tensor: LumaTensor | np.ndarray, workers: int | None = None) -> Spectrum3D:
     """Forward unnormalized 3D DFT of a tensor.
 
@@ -121,25 +135,29 @@ def tpsd_of_tensor(
     center_dc: bool = True,
     workers: int | None = None,
 ) -> TpsdPlane:
-    """Time-aggregated PSD plane straight from a tensor.
+    """Time-aggregated PSD plane straight from a tensor, one frame at a time.
 
-    Equivalent to ``tpsd(psd3(dft3(tensor)))`` but computed from a real-input
-    half spectrum and mirrored back via the plane's point symmetry
-    T[h, k] == T[(M-h) % M, (N-k) % N], which roughly halves time and memory.
+    Equal to ``tpsd(psd3(dft3(tensor)))``: by Parseval's theorem along the
+    time axis, summing the 3D PSD over temporal frequency gives
+    ``(1/(M*N)) * sum_t |FFT2(frame_t)|^2``. Each frame's real-input half
+    spectrum is folded into one ``(M, N//2 + 1)`` accumulator, so memory is
+    O(frame) whatever the depth, and the dropped columns are restored from
+    the plane's point symmetry T[h, k] == T[(M-h) % M, (N-k) % N].
     """
-    arr = _tensor_array(tensor)
-    m, n, o = arr.shape
-    # real transform along the column axis: half = n // 2 + 1 columns survive
-    half = _fft.rfftn(arr, axes=(0, 2, 1), workers=workers)
-    s_half = (half.real * half.real + half.imag * half.imag).sum(axis=2)
-    s_half /= m * n * o
+    frames = _frame_arrays(tensor)
+    m, n = frames[0].shape
+    n_half = n // 2 + 1
+    s_half = np.zeros((m, n_half), dtype=np.float64)
+    for frame in frames:
+        spec = _fft.rfft2(np.asarray(frame, dtype=np.float64), workers=workers)
+        s_half += spec.real * spec.real
+        s_half += spec.imag * spec.imag
+    s_half /= m * n
 
     plane = np.empty((m, n), dtype=np.float64)
-    n_half = n // 2 + 1
     plane[:, :n_half] = s_half
-    mirrored_rows = (m - np.arange(m)) % m
-    for k in range(n_half, n):
-        plane[:, k] = s_half[mirrored_rows, n - k]
+    # column k >= n_half mirrors row (M-h) % M of column N-k, for k = n_half..N-1
+    plane[:, n_half:] = s_half[(m - np.arange(m)) % m, n - n_half : 0 : -1]
     if center_dc:
         plane = np.fft.fftshift(plane)
     return TpsdPlane(values=plane, dc_centered=center_dc)

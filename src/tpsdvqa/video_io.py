@@ -132,17 +132,23 @@ class LumaTensor:
         return np.stack([f.pixels for f in self.frames], axis=-1).astype(np.float64)
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    view = arr.view()
-    view.flags.writeable = False
-    return view
+def _luma_copy(buffer: bytes, offset: int, desc: VideoDescriptor) -> LumaFrame:
+    """A read-only frame owning a copy of the luma plane at ``offset``.
+
+    Copying lets the frame's chunk, chroma included, be freed after the read.
+    """
+    luma = np.frombuffer(buffer, dtype=np.uint8, count=desc.luma_size, offset=offset)
+    pixels = luma.reshape(desc.height, desc.width).copy()
+    pixels.flags.writeable = False
+    return LumaFrame(pixels)
 
 
 def read_yuv420_luma(source: bytes | BinaryIO, desc: VideoDescriptor) -> list[LumaFrame]:
     """Parse luma frames from a raw YUV 4:2:0 byte stream.
 
     The stream must contain exactly ``desc.frame_count`` frames; any length
-    mismatch raises TruncatedStream. Chroma bytes are skipped.
+    mismatch raises TruncatedStream. Chroma bytes are skipped, and each frame
+    keeps only its own luma bytes alive.
     """
     if isinstance(source, (bytes, bytearray, memoryview)):
         data = bytes(source)
@@ -151,12 +157,7 @@ def read_yuv420_luma(source: bytes | BinaryIO, desc: VideoDescriptor) -> list[Lu
                 f"expected {desc.frame_count * desc.frame_size} bytes "
                 f"({desc.frame_count} frames of {desc.frame_size}), got {len(data)}"
             )
-        frames = []
-        for i in range(desc.frame_count):
-            off = i * desc.frame_size
-            luma = np.frombuffer(data, dtype=np.uint8, count=desc.luma_size, offset=off)
-            frames.append(LumaFrame(_readonly(luma.reshape(desc.height, desc.width))))
-        return frames
+        return [_luma_copy(data, i * desc.frame_size, desc) for i in range(desc.frame_count)]
 
     frames = []
     for i in range(desc.frame_count):
@@ -165,8 +166,7 @@ def read_yuv420_luma(source: bytes | BinaryIO, desc: VideoDescriptor) -> list[Lu
             raise TruncatedStream(
                 f"frame {i}: expected {desc.frame_size} bytes, got {len(chunk)}"
             )
-        luma = np.frombuffer(chunk, dtype=np.uint8, count=desc.luma_size)
-        frames.append(LumaFrame(_readonly(luma.reshape(desc.height, desc.width))))
+        frames.append(_luma_copy(chunk, 0, desc))
     if source.read(1):
         raise TruncatedStream(
             f"stream has trailing bytes beyond {desc.frame_count} frames"

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,14 +145,38 @@ class TestTpsd:
         t2 = tpsd(psd3(dft3(s * x)), center_dc=False).values
         assert rel_err(t2, s * s * t1) < 1e-12
 
-    @pytest.mark.parametrize("shape", [(5, 7, 3), (8, 8, 4), (6, 10, 5), (7, 4, 2)])
+    @pytest.mark.parametrize(
+        "shape", [(5, 7, 3), (8, 8, 4), (6, 10, 5), (7, 4, 2), (6, 9, 2)]
+    )
     @pytest.mark.parametrize("center", [False, True])
     def test_fast_path_matches_three_step_route(self, rng, shape, center):
         x = rng.random(shape) * 255
-        slow = tpsd(psd3(dft3(x)), center_dc=center)
-        fast = tpsd_of_tensor(x, center_dc=center)
-        assert fast.dc_centered == slow.dc_centered
-        assert rel_err(fast.values, slow.values) < 1e-12
+        # the same samples as uint8 frames take the LumaTensor branch
+        frames = tuple(LumaFrame(x[:, :, t].astype(np.uint8)) for t in range(shape[2]))
+        for tensor in (x, LumaTensor(frames=frames, index=0)):
+            slow = tpsd(psd3(dft3(tensor)), center_dc=center)
+            fast = tpsd_of_tensor(tensor, center_dc=center)
+            assert fast.dc_centered == slow.dc_centered
+            assert rel_err(fast.values, slow.values) < 1e-12
+
+    def test_plane_memory_is_per_frame(self, rng):
+        # the plane is accumulated frame by frame: its transient memory is a
+        # few planes, not the float64 tensor and its 3D spectrum
+        m = n = 256
+        frames = tuple(
+            LumaFrame(rng.integers(0, 256, size=(m, n), dtype=np.uint8)) for _ in range(30)
+        )
+        tensor = LumaTensor(frames=frames, index=0)
+        plane_bytes = m * n * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            tpsd_of_tensor(tensor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 8 * plane_bytes
 
     def test_circular_shift_invariance(self, rng):
         # aggregating over temporal frequency discards per-frame circular

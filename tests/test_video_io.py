@@ -81,6 +81,23 @@ class TestReadYuv:
         with pytest.raises(TruncatedStream):
             read_yuv420_luma(io.BytesIO(bytes(30)), desc)
 
+    @pytest.mark.parametrize("as_stream", [False, True])
+    def test_frames_keep_only_luma_alive(self, as_stream):
+        # the buffers the frames hold, followed down to their owners, add up
+        # to the luma bytes alone: no chroma plane outlives the read
+        desc = VideoDescriptor(8, 6, 5)
+        raw = bytes(i % 256 for i in range(desc.frame_count * desc.frame_size))
+        frames = read_yuv420_luma(io.BytesIO(raw) if as_stream else raw, desc)
+        owners = {}
+        for f in frames:
+            assert not f.pixels.flags.writeable
+            owner = f.pixels
+            while isinstance(owner, np.ndarray) and owner.base is not None:
+                owner = owner.base
+            owners[id(owner)] = owner
+        kept = sum(memoryview(o).nbytes for o in owners.values())
+        assert kept == desc.frame_count * desc.luma_size
+
 
 class TestWriteRoundTrip:
     def test_round_trip_exact(self, rng):
