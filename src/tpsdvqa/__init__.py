@@ -36,12 +36,12 @@ from .metric import (
     ZetaMap,
     assess,
     gaussian_window,
-    local_stats,
+    local_moments,
     tensor_score,
     video_score,
     zeta_map,
 )
-from .spectral import Psd3D, Spectrum3D, TpsdPlane, dft3, psd3, tpsd, tpsd_of_tensor
+from .spectral import TpsdPlane, tpsd_of_tensor
 from .synth import DistortionSpec, apply_distortion, make_edge_sequence
 from .video_io import (
     LumaFrame,

@@ -179,9 +179,6 @@ _ORIENTATION_NOTE = (
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     manifest = load_manifest(args.manifest)
-    if not manifest.entries:
-        print("error: EmptyManifest: manifest has no entries", file=sys.stderr)
-        return 1
     results = score_manifest(manifest, cfg, workers=args.threads)
     metric_report = correlation_report(results, "tpsd")
     psnr_report = correlation_report(results, "psnr")

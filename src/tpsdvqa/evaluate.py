@@ -227,7 +227,12 @@ def score_manifest(
     config: MetricConfig | None = None,
     workers: int | None = None,
 ) -> list[EntryResult]:
-    """Score every manifest entry, collecting per-entry failures instead of aborting."""
+    """Score every manifest entry, collecting per-entry failures instead of aborting.
+
+    A manifest without entries raises EmptyManifest.
+    """
+    if not manifest.entries:
+        raise EmptyManifest("manifest has no entries")
     cfg = config or MetricConfig()
     results = []
     for i, entry in enumerate(manifest.entries):
@@ -305,7 +310,5 @@ def evaluate_dataset(
     workers: int | None = None,
 ) -> CorrelationReport:
     """Score a whole manifest and correlate the chosen scorer against DMOS."""
-    if not manifest.entries:
-        raise EmptyManifest("manifest has no entries")
     results = score_manifest(manifest, config, workers=workers)
     return correlation_report(results, which=scorer)

@@ -45,8 +45,7 @@ __all__ = [
     "QualityReport",
     "gaussian_window",
     "normalize_planes",
-    "local_stats",
-    "local_cross_covariance",
+    "local_moments",
     "zeta_map",
     "tensor_score",
     "video_score",
@@ -211,31 +210,19 @@ def _smooth(values: np.ndarray, window: GaussianWindow, padding: str) -> np.ndar
     return out
 
 
-def local_stats(
-    plane: TpsdPlane | np.ndarray,
-    window: GaussianWindow,
-    padding: str = "mirror",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel Gaussian-weighted mean and standard deviation.
-
-    Uses the identity var = E[x^2] - E[x]^2; tiny negative results from
-    float cancellation are clamped to zero before the square root.
-    """
-    x = _plane_values(plane)
-    _check_plane_size(x.shape, window)
-    mu = _smooth(x, window, padding)
-    var = _smooth(x * x, window, padding) - mu * mu
-    np.maximum(var, 0.0, out=var)
-    return mu, np.sqrt(var)
-
-
-def local_cross_covariance(
+def local_moments(
     x_plane: TpsdPlane | np.ndarray,
     y_plane: TpsdPlane | np.ndarray,
     window: GaussianWindow,
     padding: str = "mirror",
-) -> np.ndarray:
-    """Per-pixel Gaussian-weighted cross covariance between two planes."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-pixel Gaussian-weighted moments of two planes.
+
+    Returns ``(mu_x, mu_y, sigma_x, sigma_y, cov)`` from five smoothing
+    passes. Variances use the identity var = E[x^2] - E[x]^2; tiny negative
+    results from float cancellation are clamped to zero before the square
+    root.
+    """
     x = _plane_values(x_plane)
     y = _plane_values(y_plane)
     if x.shape != y.shape:
@@ -243,7 +230,12 @@ def local_cross_covariance(
     _check_plane_size(x.shape, window)
     mu_x = _smooth(x, window, padding)
     mu_y = _smooth(y, window, padding)
-    return _smooth(x * y, window, padding) - mu_x * mu_y
+    var_x = _smooth(x * x, window, padding) - mu_x * mu_x
+    var_y = _smooth(y * y, window, padding) - mu_y * mu_y
+    np.maximum(var_x, 0.0, out=var_x)
+    np.maximum(var_y, 0.0, out=var_y)
+    cov = _smooth(x * y, window, padding) - mu_x * mu_y
+    return mu_x, mu_y, np.sqrt(var_x), np.sqrt(var_y), cov
 
 
 def zeta_map(
@@ -266,20 +258,8 @@ def zeta_map(
             raise CenteringMismatch(
                 f"dc_centered flags differ: ref={ref.dc_centered} dist={dist.dc_centered}"
             )
-    x = _plane_values(ref)
-    y = _plane_values(dist)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"plane shapes differ: {x.shape} vs {y.shape}")
-    _check_plane_size(x.shape, window)
-
-    mu_x = _smooth(x, window, padding)
-    mu_y = _smooth(y, window, padding)
-    var_x = _smooth(x * x, window, padding) - mu_x * mu_x
-    var_y = _smooth(y * y, window, padding) - mu_y * mu_y
-    np.maximum(var_x, 0.0, out=var_x)
-    np.maximum(var_y, 0.0, out=var_y)
-    cov = _smooth(x * y, window, padding) - mu_x * mu_y
-    return ZetaMap(values=(cov + c) / (np.sqrt(var_x) * np.sqrt(var_y) + c))
+    _, _, sigma_x, sigma_y, cov = local_moments(ref, dist, window, padding)
+    return ZetaMap(values=(cov + c) / (sigma_x * sigma_y + c))
 
 
 def tensor_score(zeta: ZetaMap | np.ndarray) -> float:
@@ -343,13 +323,11 @@ def assess(
     cfg = config or MetricConfig()
     _check_frame_pairing(ref_frames, dist_frames)
 
-    descriptor = VideoDescriptor(
-        width=ref_frames[0].width if ref_frames else 0,
-        height=ref_frames[0].height if ref_frames else 0,
-        frame_count=len(ref_frames),
-    )
     ref_tensors = group_tensors(ref_frames, cfg.tensor_len, frame_range)
     dist_tensors = group_tensors(dist_frames, cfg.tensor_len, frame_range)
+    descriptor = VideoDescriptor(
+        width=ref_frames[0].width, height=ref_frames[0].height, frame_count=len(ref_frames)
+    )
     window = gaussian_window(cfg.window_radius, cfg.window_sigma)
 
     timings = {"transform": 0.0, "correlate": 0.0, "pool": 0.0}

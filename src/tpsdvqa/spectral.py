@@ -1,16 +1,18 @@
-"""3D spectral analysis of luma tensors.
+"""Time-aggregated power spectra of luma tensors.
 
 A tensor of ``O`` frames of size ``M x N`` is treated as one 3D signal. Its
 power spectral density is the squared magnitude of the unnormalized forward
-3D DFT divided by ``M*N*O`` (the periodogram; total PSD equals the mean
-squared sample energy). Summing the PSD over the temporal frequency axis
-yields the 2D time-aggregated plane that the quality metric correlates.
+3D DFT divided by ``M*N*O`` (the periodogram; total PSD equals the sum of
+squared samples). Summing the PSD over the temporal frequency axis yields
+the 2D time-aggregated plane that the quality metric correlates. By
+Parseval's theorem along the time axis that plane is
 
-:func:`dft3`, :func:`psd3` and :func:`tpsd` follow that definition step by
-step. :func:`tpsd_of_tensor`, which the metric uses, computes the same plane
-per frame: by Parseval's theorem along the time axis it equals
-``(1/(M*N)) * sum_t |FFT2(frame_t)|^2``, so neither the 3D transform nor a
-stacked float64 tensor is needed.
+    T[h, k] = (1/(M*N)) * sum_t |FFT2(frame_t)[h, k]|^2,
+
+which :func:`tpsd_of_tensor` computes one frame at a time, so neither the
+3D transform nor a stacked float64 tensor is needed. The definitional
+route, a direct-sum 3D DFT summed over temporal frequency, is
+``tests/oracles.py::tpsd_direct``, against which the tests check this one.
 
 No window/taper is applied before the transform, and the mean (DC) is not
 subtracted; the plain periodogram is the estimator. The DC bin can be
@@ -31,38 +33,11 @@ import scipy.fft as _fft
 from .video_io import LumaTensor
 
 __all__ = [
-    "Spectrum3D",
-    "Psd3D",
     "TpsdPlane",
-    "dft3",
-    "psd3",
-    "tpsd",
     "tpsd_of_tensor",
     "write_grid",
     "read_grid",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class Spectrum3D:
-    """Complex 3D DFT coefficients, shape (M, N, O): rows, columns, time."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.values.ndim != 3:
-            raise ValueError(f"spectrum must be 3D, got {self.values.ndim}D")
-
-
-@dataclass(frozen=True, eq=False)
-class Psd3D:
-    """3D power spectral density: non-negative reals, shape (M, N, O)."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.values.ndim != 3:
-            raise ValueError(f"PSD must be 3D, got {self.values.ndim}D")
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,53 +56,16 @@ class TpsdPlane:
             raise ValueError(f"plane must be 2D, got {self.values.ndim}D")
 
 
-def _tensor_array(tensor: LumaTensor | np.ndarray) -> np.ndarray:
+def _frame_arrays(tensor: LumaTensor | np.ndarray) -> list[np.ndarray]:
+    """The tensor's frames as 2D arrays, without stacking them."""
     if isinstance(tensor, LumaTensor):
-        return tensor.as_array()
+        return [f.pixels for f in tensor.frames]
     arr = np.asarray(tensor, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError(f"tensor array must be 3D, got {arr.ndim}D")
     if arr.shape[2] < 2:
         raise ValueError(f"tensor depth must be >= 2, got {arr.shape[2]}")
-    return arr
-
-
-def _frame_arrays(tensor: LumaTensor | np.ndarray) -> list[np.ndarray]:
-    """The tensor's frames as 2D arrays, without stacking them."""
-    if isinstance(tensor, LumaTensor):
-        return [f.pixels for f in tensor.frames]
-    arr = _tensor_array(tensor)
     return [arr[:, :, t] for t in range(arr.shape[2])]
-
-
-def dft3(tensor: LumaTensor | np.ndarray, workers: int | None = None) -> Spectrum3D:
-    """Forward unnormalized 3D DFT of a tensor.
-
-    No scale factor is applied inside the transform; the 1/(M*N*O)
-    normalization lives entirely in :func:`psd3`.
-    """
-    arr = _tensor_array(tensor)
-    return Spectrum3D(values=_fft.fftn(arr, workers=workers))
-
-
-def psd3(spectrum: Spectrum3D) -> Psd3D:
-    """Power spectral density: |X|^2 / (M*N*O) per bin."""
-    x = spectrum.values
-    m, n, o = x.shape
-    power = (x.real * x.real + x.imag * x.imag) / (m * n * o)
-    return Psd3D(values=power)
-
-
-def tpsd(psd: Psd3D, center_dc: bool = True) -> TpsdPlane:
-    """Aggregate the PSD over all temporal frequency bins into a 2D plane.
-
-    With ``center_dc`` the plane is circularly shifted so the zero-frequency
-    bin lands at (M//2, N//2). Aggregation conserves total power.
-    """
-    plane = psd.values.sum(axis=2)
-    if center_dc:
-        plane = np.fft.fftshift(plane)
-    return TpsdPlane(values=plane, dc_centered=center_dc)
 
 
 def tpsd_of_tensor(
@@ -137,12 +75,11 @@ def tpsd_of_tensor(
 ) -> TpsdPlane:
     """Time-aggregated PSD plane straight from a tensor, one frame at a time.
 
-    Equal to ``tpsd(psd3(dft3(tensor)))``: by Parseval's theorem along the
-    time axis, summing the 3D PSD over temporal frequency gives
-    ``(1/(M*N)) * sum_t |FFT2(frame_t)|^2``. Each frame's real-input half
-    spectrum is folded into one ``(M, N//2 + 1)`` accumulator, so memory is
-    O(frame) whatever the depth, and the dropped columns are restored from
-    the plane's point symmetry T[h, k] == T[(M-h) % M, (N-k) % N].
+    ``tensor`` is a :class:`LumaTensor` or an array of shape ``(M, N, O)``
+    with ``O >= 2``. Each frame's real-input half spectrum is folded into
+    one ``(M, N//2 + 1)`` accumulator, so memory is O(frame) whatever the
+    depth, and the dropped columns are restored from the plane's point
+    symmetry T[h, k] == T[(M-h) % M, (N-k) % N].
     """
     frames = _frame_arrays(tensor)
     m, n = frames[0].shape

@@ -127,10 +127,6 @@ class LumaTensor:
     def width(self) -> int:
         return self.frames[0].width
 
-    def as_array(self) -> np.ndarray:
-        """Stack frames into a float64 array of shape (height, width, depth)."""
-        return np.stack([f.pixels for f in self.frames], axis=-1).astype(np.float64)
-
 
 def _luma_copy(buffer: bytes, offset: int, desc: VideoDescriptor) -> LumaFrame:
     """A read-only frame owning a copy of the luma plane at ``offset``.

@@ -9,19 +9,18 @@ import time
 import numpy as np
 import pytest
 
-from oracles import dft3_direct, local_moments_direct
+from oracles import local_moments_direct, tpsd_direct
 from tpsdvqa.evaluate import pearson, spearman
 from tpsdvqa.metric import (
     MetricConfig,
     assess,
     gaussian_window,
-    local_cross_covariance,
-    local_stats,
+    local_moments,
     normalize_planes,
     tensor_score,
     zeta_map,
 )
-from tpsdvqa.spectral import dft3, psd3, tpsd_of_tensor
+from tpsdvqa.spectral import tpsd_of_tensor
 from tpsdvqa.synth import (
     DistortionSpec,
     apply_distortion,
@@ -44,8 +43,8 @@ def test_criterion_01_dft_oracle_equivalence():
     worst = 0.0
     for shape in [(4, 4, 2), (5, 7, 3), (8, 8, 4), (16, 16, 8)]:
         x = rng.random(shape) * 255
-        expected = dft3_direct(x)
-        got = dft3(x).values
+        expected = tpsd_direct(x, center_dc=True)
+        got = tpsd_of_tensor(x, center_dc=True).values
         worst = max(worst, float(np.max(np.abs(got - expected)) / np.max(np.abs(expected))))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-9 and elapsed < 10.0
@@ -60,17 +59,12 @@ def test_criterion_02_parseval_identity():
     for _ in range(100):
         shape = tuple(int(rng.integers(2, 11)) for _ in range(3))
         x = rng.random(shape) * 255
-        spectrum = dft3(x)
-        psd = psd3(spectrum)
-        mno = x.size
-        total_psd = psd.values.sum()
-        spec_energy = float(np.sum(np.abs(spectrum.values) ** 2))
+        total = float(tpsd_of_tensor(x, center_dc=False).values.sum())
         sample_energy = float(np.sum(x * x))  # == mno * mean squared pixel energy
         worst = max(
             worst,
-            abs(total_psd * mno - spec_energy) / spec_energy,
-            abs(total_psd - sample_energy) / sample_energy,
-            abs(sample_energy - mno * float(np.mean(x * x))) / sample_energy,
+            abs(total - sample_energy) / sample_energy,
+            abs(sample_energy - x.size * float(np.mean(x * x))) / sample_energy,
         )
     ok = worst <= 1e-6
     report(2, "parseval-identity", ok, f"max rel err {worst:.2e} over 100 tensors")
@@ -203,15 +197,10 @@ def test_criterion_07_local_stats_oracle():
         for _ in range(3):
             x = rng.random((32, 32))
             y = rng.random((32, 32))
-            mu_x, _, sig_x, _, cov = local_moments_direct(x, y, window.weights, padding)
-            got_mu, got_sigma = local_stats(x, window, padding)
-            got_cov = local_cross_covariance(x, y, window, padding)
-            worst = max(
-                worst,
-                float(np.max(np.abs(got_mu - mu_x))),
-                float(np.max(np.abs(got_sigma - sig_x))),
-                float(np.max(np.abs(got_cov - cov))),
-            )
+            want = local_moments_direct(x, y, window.weights, padding)
+            got = local_moments(x, y, window, padding)
+            for g, e in zip(got, want):
+                worst = max(worst, float(np.max(np.abs(g - e))))
     ok = worst <= 1e-12
     report(7, "local-stats-oracle", ok, f"max abs err {worst:.2e}, both paddings")
     assert worst <= 1e-12

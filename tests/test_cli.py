@@ -138,6 +138,17 @@ class TestScore:
         assert code == 1
         assert err.startswith("error: OddDimensions:")
 
+    def test_empty_video_diagnostic(self, capsys, tmp_path):
+        empty = tmp_path / "empty.yuv"
+        empty.write_bytes(b"")
+        code, _, err = run_cli(
+            capsys,
+            ["score", "--ref", str(empty), "--dist", str(empty),
+             "--width", "256", "--height", "144"],
+        )
+        assert code == 1
+        assert err.startswith("error: EmptySelection:")
+
     def test_missing_file_diagnostic(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,

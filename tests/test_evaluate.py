@@ -183,6 +183,10 @@ class TestManifest:
         with pytest.raises(EmptyManifest):
             evaluate_dataset(manifest, MetricConfig())
 
+    def test_empty_manifest_raises_on_score(self):
+        with pytest.raises(EmptyManifest):
+            score_manifest(DatasetManifest(entries=()), MetricConfig())
+
 
 def _write_pair(tmp_path, name, ref_frames, dist_frames):
     ref_path = tmp_path / f"{name}_ref.yuv"

@@ -14,8 +14,7 @@ from tpsdvqa.metric import (
     MetricConfig,
     assess,
     gaussian_window,
-    local_cross_covariance,
-    local_stats,
+    local_moments,
     normalize_planes,
     tensor_score,
     video_score,
@@ -65,15 +64,17 @@ class TestGaussianWindow:
 class TestLocalStats:
     def test_constant_plane(self):
         w = gaussian_window(5, 1.5)
-        mu, sigma = local_stats(np.full((16, 16), 42.0), w)
+        plane = np.full((16, 16), 42.0)
+        mu, _, sigma, _, cov = local_moments(plane, plane, w)
         assert np.allclose(mu, 42.0, atol=1e-10)
         assert np.allclose(sigma, 0.0, atol=1e-6)
+        assert np.allclose(cov, 0.0, atol=1e-10)
 
     def test_impulse_with_flat_window(self):
         w = gaussian_window(1, 1e6)  # effectively a 3x3 box
         plane = np.zeros((16, 16))
         plane[8, 8] = 1.0
-        mu, _ = local_stats(plane, w)
+        mu, _, _, _, _ = local_moments(plane, np.zeros((16, 16)), w)
         assert mu[8, 8] == pytest.approx(1.0 / 9.0, abs=1e-9)
 
     @pytest.mark.parametrize("padding", ["mirror", "valid"])
@@ -81,22 +82,20 @@ class TestLocalStats:
         w = gaussian_window(5, 1.5)
         x = rng.random((16, 16))
         y = rng.random((16, 16))
-        mu_x, mu_y, sig_x, sig_y, cov = local_moments_direct(x, y, w.weights, padding)
-        got_mu, got_sigma = local_stats(x, w, padding)
-        assert np.max(np.abs(got_mu - mu_x)) < 1e-12
-        assert np.max(np.abs(got_sigma - sig_x)) < 1e-12
-        got_cov = local_cross_covariance(x, y, w, padding)
-        assert np.max(np.abs(got_cov - cov)) < 1e-12
+        want = local_moments_direct(x, y, w.weights, padding)
+        got = local_moments(x, y, w, padding)
+        for g, e in zip(got, want):
+            assert np.max(np.abs(g - e)) < 1e-12
 
     def test_valid_padding_crops(self):
         w = gaussian_window(2, 1.0)
-        mu, sigma = local_stats(np.ones((16, 12)), w, padding="valid")
-        assert mu.shape == sigma.shape == (12, 8)
+        moments = local_moments(np.ones((16, 12)), np.ones((16, 12)), w, padding="valid")
+        assert all(m.shape == (12, 8) for m in moments)
 
     def test_plane_too_small(self):
         w = gaussian_window(5, 1.5)
         with pytest.raises(PlaneTooSmall):
-            local_stats(np.ones((10, 16)), w)
+            local_moments(np.ones((10, 16)), np.ones((10, 16)), w)
 
 
 class TestZetaMap:

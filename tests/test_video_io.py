@@ -168,13 +168,6 @@ class TestTensorTypes:
                 index=0,
             )
 
-    def test_as_array_axis_order(self):
-        frames = tuple(LumaFrame(np.full((3, 4), i, dtype=np.uint8)) for i in range(2))
-        arr = LumaTensor(frames=frames, index=0).as_array()
-        assert arr.shape == (3, 4, 2)
-        assert arr.dtype == np.float64
-        assert np.all(arr[..., 1] == 1)
-
 
 class TestGroupTensors:
     def test_ten_full_tensors(self):
