@@ -21,19 +21,18 @@ from .errors import (
 )
 from .evaluate import (
     CorrelationReport,
-    DatasetManifest,
     ManifestEntry,
-    evaluate_dataset,
+    correlation_report,
     load_manifest,
     pearson,
     psnr,
+    score_manifest,
     spearman,
 )
 from .metric import (
     GaussianWindow,
     MetricConfig,
     QualityReport,
-    ZetaMap,
     assess,
     gaussian_window,
     local_moments,

@@ -20,13 +20,14 @@ import sys
 import time
 from typing import Sequence, TextIO
 
+import numpy as np
+
 from .errors import VqaError
 from .evaluate import correlation_report, load_manifest, score_manifest
 from .metric import (
     NORMALIZATION_MODES,
     PADDING_MODES,
     MetricConfig,
-    ZetaMap,
     assess,
 )
 from .spectral import tpsd_of_tensor, write_grid
@@ -108,8 +109,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
         _, dist_frames = read_yuv420_file(args.dist, args.width, args.height)
         read_seconds = time.perf_counter() - t0
 
-        def dump_zeta(index: int, zeta: ZetaMap) -> None:
-            write_grid(zeta.values, f"{args.dump_zeta}.tensor{index:03d}.grid")
+        def dump_zeta(index: int, zeta: np.ndarray) -> None:
+            write_grid(zeta, f"{args.dump_zeta}.tensor{index:03d}.grid")
 
         report = assess(
             ref_frames,
@@ -138,7 +139,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
             "tensor_count": len(report.tensor_scores),
             "width": args.width,
             "height": args.height,
-            "frames_total": report.descriptor.frame_count,
+            "frames_total": len(ref_frames),
             "frames_used": sum(report.tensor_depths),
             "ref": args.ref,
             "dist": args.dist,
@@ -178,15 +179,15 @@ _ORIENTATION_NOTE = (
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    manifest = load_manifest(args.manifest)
-    results = score_manifest(manifest, cfg, workers=args.threads)
+    entries = load_manifest(args.manifest)
+    results = score_manifest(entries, cfg, workers=args.threads)
     metric_report = correlation_report(results, "tpsd")
     psnr_report = correlation_report(results, "psnr")
 
     summary = {
         "record": "summary",
         "n": metric_report.n,
-        "entries": len(manifest.entries),
+        "entries": len(entries),
         "orientation": _ORIENTATION_NOTE,
         "metric": _report_dict(metric_report),
         "psnr_baseline": _report_dict(psnr_report),
@@ -214,7 +215,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     pcc = "n/a" if metric_report.pcc is None else f"{metric_report.pcc:+.4f}"
     scc = "n/a" if metric_report.scc is None else f"{metric_report.scc:+.4f}"
     print(
-        f"evaluated {metric_report.n}/{len(manifest.entries)} entries "
+        f"evaluated {metric_report.n}/{len(entries)} entries "
         f"({failed} failed): pcc {pcc} scc {scc} (see orientation note)",
         file=sys.stderr,
     )

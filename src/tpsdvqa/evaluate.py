@@ -39,7 +39,6 @@ from .video_io import LumaFrame, read_yuv420_file
 
 __all__ = [
     "ManifestEntry",
-    "DatasetManifest",
     "TagStats",
     "CorrelationReport",
     "EntryResult",
@@ -49,7 +48,6 @@ __all__ = [
     "psnr",
     "score_manifest",
     "correlation_report",
-    "evaluate_dataset",
 ]
 
 _REQUIRED_COLUMNS = ("ref_path", "dist_path", "width", "height", "dmos", "tag")
@@ -81,11 +79,6 @@ class ManifestEntry:
         start = 0 if self.frame_start is None else self.frame_start
         end = frame_count - 1 if self.frame_end is None else self.frame_end
         return (start, end)
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    entries: tuple[ManifestEntry, ...]
 
 
 @dataclass(frozen=True)
@@ -125,8 +118,11 @@ def _optional_int(row: dict, key: str) -> int | None:
     return int(raw) if raw else None
 
 
-def load_manifest(path: str | os.PathLike) -> DatasetManifest:
-    """Parse a manifest CSV; relative video paths resolve next to the file."""
+def load_manifest(path: str | os.PathLike) -> tuple[ManifestEntry, ...]:
+    """Parse a manifest CSV; relative video paths resolve next to the file.
+
+    A row without one of the required columns raises ValueError naming its line.
+    """
     base = os.path.dirname(os.path.abspath(path))
     entries = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -138,6 +134,11 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
         for row in reader:
             if not any((v or "").strip() for v in row.values()):
                 continue
+            short = [c for c in _REQUIRED_COLUMNS if row[c] is None]
+            if short:
+                raise ValueError(
+                    f"manifest line {reader.line_num} is missing columns: {', '.join(short)}"
+                )
             entries.append(
                 ManifestEntry(
                     ref_path=os.path.join(base, row["ref_path"].strip()),
@@ -150,7 +151,7 @@ def load_manifest(path: str | os.PathLike) -> DatasetManifest:
                     frame_end=_optional_int(row, "frame_end"),
                 )
             )
-    return DatasetManifest(entries=tuple(entries))
+    return tuple(entries)
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -223,7 +224,7 @@ def psnr(ref: Sequence[LumaFrame], dist: Sequence[LumaFrame]) -> float:
 
 
 def score_manifest(
-    manifest: DatasetManifest,
+    entries: Sequence[ManifestEntry],
     config: MetricConfig | None = None,
     workers: int | None = None,
 ) -> list[EntryResult]:
@@ -231,11 +232,11 @@ def score_manifest(
 
     A manifest without entries raises EmptyManifest.
     """
-    if not manifest.entries:
+    if not entries:
         raise EmptyManifest("manifest has no entries")
     cfg = config or MetricConfig()
     results = []
-    for i, entry in enumerate(manifest.entries):
+    for i, entry in enumerate(entries):
         try:
             _, ref_frames = read_yuv420_file(entry.ref_path, entry.width, entry.height)
             _, dist_frames = read_yuv420_file(entry.dist_path, entry.width, entry.height)
@@ -301,14 +302,3 @@ def correlation_report(
         n=len(ok),
         failures=failures,
     )
-
-
-def evaluate_dataset(
-    manifest: DatasetManifest,
-    config: MetricConfig | None = None,
-    scorer: str = "tpsd",
-    workers: int | None = None,
-) -> CorrelationReport:
-    """Score a whole manifest and correlate the chosen scorer against DMOS."""
-    results = score_manifest(manifest, config, workers=workers)
-    return correlation_report(results, which=scorer)

@@ -34,14 +34,13 @@ from .errors import (
     PlaneTooSmall,
 )
 from .spectral import TpsdPlane, tpsd_of_tensor
-from .video_io import LumaFrame, VideoDescriptor, group_tensors
+from .video_io import LumaFrame, group_tensors
 
 __all__ = [
     "NORMALIZATION_MODES",
     "PADDING_MODES",
     "GaussianWindow",
     "MetricConfig",
-    "ZetaMap",
     "QualityReport",
     "gaussian_window",
     "normalize_planes",
@@ -126,27 +125,13 @@ class MetricConfig:
             raise ValueError(f"padding must be one of {PADDING_MODES}, got {self.padding!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class ZetaMap:
-    """Per-frequency local cross-correlation between two planes, in [-1, 1]."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.values.ndim != 2:
-            raise ValueError(f"correlation map must be 2D, got {self.values.ndim}D")
-
-
 @dataclass(frozen=True)
 class QualityReport:
-    """Per-tensor scores, the pooled video score, and run metadata."""
+    """Per-tensor scores and depths, the pooled video score, and stage timings."""
 
     tensor_scores: tuple[float, ...]
     video_score: float
-    config: MetricConfig
-    descriptor: VideoDescriptor
     tensor_depths: tuple[int, ...] = ()
-    frame_range: tuple[int, int] | None = None
     timings: dict[str, float] = field(default_factory=dict)
 
 
@@ -244,12 +229,13 @@ def zeta_map(
     window: GaussianWindow,
     c: float = 4.5e-4,
     padding: str = "mirror",
-) -> ZetaMap:
+) -> np.ndarray:
     """Local cross-correlation map between reference and distorted planes.
 
-    Per pixel: (cov + C) / (sigma_ref * sigma_dist + C). Cauchy-Schwarz
-    bounds the result to [-1, 1] up to float rounding. Planes must agree in
-    shape and DC-centering and are expected to be already normalized.
+    Returns a 2D array holding, per pixel, (cov + C) / (sigma_ref * sigma_dist
+    + C). Cauchy-Schwarz bounds the result to [-1, 1] up to float rounding.
+    Planes must agree in shape and DC-centering and are expected to be
+    already normalized.
     """
     if c <= 0:
         raise ValueError(f"stability constant must be positive, got {c}")
@@ -259,17 +245,16 @@ def zeta_map(
                 f"dc_centered flags differ: ref={ref.dc_centered} dist={dist.dc_centered}"
             )
     _, _, sigma_x, sigma_y, cov = local_moments(ref, dist, window, padding)
-    return ZetaMap(values=(cov + c) / (sigma_x * sigma_y + c))
+    return (cov + c) / (sigma_x * sigma_y + c)
 
 
-def tensor_score(zeta: ZetaMap | np.ndarray) -> float:
+def tensor_score(zeta: np.ndarray) -> float:
     """Arithmetic mean of the correlation map.
 
     The exact mean lies in [-1, 1]; the float result is clamped into that
     interval so rounding cannot push a score past the bound.
     """
-    values = zeta.values if isinstance(zeta, ZetaMap) else np.asarray(zeta)
-    return float(min(1.0, max(-1.0, values.mean())))
+    return float(min(1.0, max(-1.0, np.asarray(zeta).mean())))
 
 
 def video_score(tensor_scores: Sequence[float], beta: float = 1.0) -> float:
@@ -310,24 +295,22 @@ def assess(
     config: MetricConfig | None = None,
     frame_range: tuple[int, int] | None = None,
     workers: int | None = None,
-    zeta_callback: Callable[[int, ZetaMap], None] | None = None,
+    zeta_callback: Callable[[int, np.ndarray], None] | None = None,
 ) -> QualityReport:
     """Score a distorted sequence against its reference.
 
     Both sequences are grouped into tensors, each pair is reduced to its
     aggregated PSD planes, normalized, correlated, and pooled; tensors are
     paired strictly by position (temporal alignment is assumed).
-    ``zeta_callback`` receives each tensor's correlation map as it is
-    produced. ``workers`` is passed to the FFT backend.
+    ``zeta_callback`` receives each tensor's index and correlation map (the
+    2D array ``zeta_map`` returns) as it is produced. ``workers`` is passed
+    to the FFT backend.
     """
     cfg = config or MetricConfig()
     _check_frame_pairing(ref_frames, dist_frames)
 
     ref_tensors = group_tensors(ref_frames, cfg.tensor_len, frame_range)
     dist_tensors = group_tensors(dist_frames, cfg.tensor_len, frame_range)
-    descriptor = VideoDescriptor(
-        width=ref_frames[0].width, height=ref_frames[0].height, frame_count=len(ref_frames)
-    )
     window = gaussian_window(cfg.window_radius, cfg.window_sigma)
 
     timings = {"transform": 0.0, "correlate": 0.0, "pool": 0.0}
@@ -355,9 +338,6 @@ def assess(
     return QualityReport(
         tensor_scores=tuple(scores),
         video_score=pooled,
-        config=cfg,
-        descriptor=descriptor,
         tensor_depths=tuple(depths),
-        frame_range=frame_range,
         timings=timings,
     )

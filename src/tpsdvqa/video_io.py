@@ -12,6 +12,7 @@ rejected rather than converted.
 
 from __future__ import annotations
 
+import io
 import os
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Sequence
@@ -62,9 +63,7 @@ class VideoDescriptor:
     @classmethod
     def from_byte_length(cls, width: int, height: int, byte_length: int) -> "VideoDescriptor":
         """Derive the frame count from a total byte length; exact multiple required."""
-        if width % 2 or height % 2:
-            raise OddDimensions(f"YUV 4:2:0 requires even dimensions, got {width}x{height}")
-        frame_size = width * height * 3 // 2
+        frame_size = cls(width, height, 0).frame_size
         if byte_length % frame_size:
             raise TruncatedStream(
                 f"{byte_length} bytes is not a multiple of the {frame_size}-byte "
@@ -128,17 +127,6 @@ class LumaTensor:
         return self.frames[0].width
 
 
-def _luma_copy(buffer: bytes, offset: int, desc: VideoDescriptor) -> LumaFrame:
-    """A read-only frame owning a copy of the luma plane at ``offset``.
-
-    Copying lets the frame's chunk, chroma included, be freed after the read.
-    """
-    luma = np.frombuffer(buffer, dtype=np.uint8, count=desc.luma_size, offset=offset)
-    pixels = luma.reshape(desc.height, desc.width).copy()
-    pixels.flags.writeable = False
-    return LumaFrame(pixels)
-
-
 def read_yuv420_luma(source: bytes | BinaryIO, desc: VideoDescriptor) -> list[LumaFrame]:
     """Parse luma frames from a raw YUV 4:2:0 byte stream.
 
@@ -147,14 +135,7 @@ def read_yuv420_luma(source: bytes | BinaryIO, desc: VideoDescriptor) -> list[Lu
     keeps only its own luma bytes alive.
     """
     if isinstance(source, (bytes, bytearray, memoryview)):
-        data = bytes(source)
-        if len(data) != desc.frame_count * desc.frame_size:
-            raise TruncatedStream(
-                f"expected {desc.frame_count * desc.frame_size} bytes "
-                f"({desc.frame_count} frames of {desc.frame_size}), got {len(data)}"
-            )
-        return [_luma_copy(data, i * desc.frame_size, desc) for i in range(desc.frame_count)]
-
+        source = io.BytesIO(source)
     frames = []
     for i in range(desc.frame_count):
         chunk = source.read(desc.frame_size)
@@ -162,7 +143,11 @@ def read_yuv420_luma(source: bytes | BinaryIO, desc: VideoDescriptor) -> list[Lu
             raise TruncatedStream(
                 f"frame {i}: expected {desc.frame_size} bytes, got {len(chunk)}"
             )
-        frames.append(_luma_copy(chunk, 0, desc))
+        # a copy, so the chunk, chroma included, is freed after the read
+        luma = np.frombuffer(chunk, dtype=np.uint8, count=desc.luma_size)
+        pixels = luma.reshape(desc.height, desc.width).copy()
+        pixels.flags.writeable = False
+        frames.append(LumaFrame(pixels))
     if source.read(1):
         raise TruncatedStream(
             f"stream has trailing bytes beyond {desc.frame_count} frames"

@@ -107,7 +107,7 @@ def test_criterion_04_boundedness():
         plane_r = tpsd_of_tensor(ref, center_dc=center)
         plane_d = tpsd_of_tensor(dist, center_dc=center)
         plane_r, plane_d = normalize_planes(plane_r, plane_d, norm)
-        z = zeta_map(plane_r, plane_d, window, padding=padding).values
+        z = zeta_map(plane_r, plane_d, window, padding=padding)
         zeta_lo = min(zeta_lo, float(z.min()))
         zeta_hi = max(zeta_hi, float(z.max()))
         s = tensor_score(z)
@@ -226,7 +226,7 @@ def test_criterion_08_edge_fixtures():
             "identity": identity,
             "score": degraded.video_score,
             "score_default": degraded_default,
-            "frac_below": float((maps[0].values < 0.9).mean()),
+            "frac_below": float((maps[0] < 0.9).mean()),
         }
     static, moving = results["static"], results["moving"]
     ok = (

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tpsdvqa.cli import main
-from tpsdvqa.evaluate import evaluate_dataset, load_manifest
+from tpsdvqa.evaluate import correlation_report, load_manifest, score_manifest
 from tpsdvqa.metric import MetricConfig, assess
 from tpsdvqa.spectral import read_grid, tpsd_of_tensor
 from tpsdvqa.synth import DistortionSpec, apply_distortion, make_edge_sequence, make_moving_texture
@@ -127,6 +127,16 @@ class TestScore:
         )
         assert code == 1
         assert err.startswith("error: TruncatedStream:")
+
+    def test_zero_width_diagnostic(self, capsys, clip_pair):
+        ref_path, dist_path = clip_pair
+        code, _, err = run_cli(
+            capsys,
+            ["score", "--ref", str(ref_path), "--dist", str(dist_path),
+             "--width", "0", "--height", "32"],
+        )
+        assert code == 1
+        assert err.startswith("error: ValueError: dimensions must be positive")
 
     def test_odd_width_diagnostic(self, capsys, clip_pair):
         ref_path, dist_path = clip_pair
@@ -282,9 +292,25 @@ class TestEvaluate:
         assert on_disk["metric"] == summary["metric"]
         assert "evaluated 3/3" in err
         # same numbers as the library harness on the same manifest
-        library = evaluate_dataset(load_manifest(manifest), MetricConfig(tensor_len=4))
+        library = correlation_report(
+            score_manifest(load_manifest(manifest), MetricConfig(tensor_len=4)), "tpsd"
+        )
         assert summary["metric"]["pcc"] == library.pcc
         assert summary["metric"]["scc"] == library.scc
+
+    def test_zero_width_entry_is_a_per_entry_failure(self, capsys, manifest):
+        rows = manifest.read_text(encoding="utf-8").splitlines()
+        rows.insert(2, "r0.yuv,d0.yuv,0,32,15.0,noise,,")
+        path = manifest.parent / "zero_width.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, ["evaluate", "--manifest", str(path), "--tensor-frames", "4"]
+        )
+        assert code == 0
+        entries = [r for r in parse_records(out) if r["record"] == "entry"]
+        assert [r["error"] for r in entries] == [None, "ValueError", None, None]
+        assert entries[1]["error_message"].startswith("dimensions must be positive")
+        assert "evaluated 3/4" in err
 
     def test_empty_manifest_diagnostic(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"

@@ -14,10 +14,8 @@ from tpsdvqa.errors import (
     LengthMismatch,
 )
 from tpsdvqa.evaluate import (
-    DatasetManifest,
     ManifestEntry,
     correlation_report,
-    evaluate_dataset,
     load_manifest,
     pearson,
     psnr,
@@ -146,8 +144,8 @@ class TestManifest:
             encoding="utf-8",
         )
         manifest = load_manifest(manifest_path)
-        assert len(manifest.entries) == 2
-        first, second = manifest.entries
+        assert len(manifest) == 2
+        first, second = manifest
         assert first.ref_path == str(tmp_path / "ref.yuv")
         assert first.frame_start is None and first.frame_end is None
         assert first.frame_range(300) is None
@@ -167,6 +165,16 @@ class TestManifest:
         with pytest.raises(ValueError, match="tag"):
             load_manifest(path)
 
+    def test_short_row_rejected_with_its_line(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text(
+            "ref_path,dist_path,width,height,dmos,tag\n"
+            "a.yuv,b.yuv,32,32,1.0,x\n"
+            "r.yuv,d.yuv,32\n"
+        )
+        with pytest.raises(ValueError, match="line 3 is missing columns: height, dmos, tag"):
+            load_manifest(path)
+
     def test_identical_paths_rejected(self):
         with pytest.raises(ValueError):
             ManifestEntry("same.yuv", "same.yuv", 4, 4, 1.0, "x")
@@ -179,13 +187,13 @@ class TestManifest:
         path = tmp_path / "empty.csv"
         path.write_text("ref_path,dist_path,width,height,dmos,tag\n")
         manifest = load_manifest(path)
-        assert manifest.entries == ()
+        assert manifest == ()
         with pytest.raises(EmptyManifest):
-            evaluate_dataset(manifest, MetricConfig())
+            correlation_report(score_manifest(manifest, MetricConfig()), "tpsd")
 
     def test_empty_manifest_raises_on_score(self):
         with pytest.raises(EmptyManifest):
-            score_manifest(DatasetManifest(entries=()), MetricConfig())
+            score_manifest((), MetricConfig())
 
 
 def _write_pair(tmp_path, name, ref_frames, dist_frames):
@@ -211,7 +219,7 @@ class TestEvaluateDataset:
             entries.append(
                 ManifestEntry(rp, dp, 32, 32, dmos=10.0 * (i + 1), tag="noise")
             )
-        report = evaluate_dataset(DatasetManifest(tuple(entries)), small_config)
+        report = correlation_report(score_manifest(tuple(entries), small_config), "tpsd")
         # higher noise -> lower score and higher DMOS: perfect rank anticorrelation
         assert report.scc == -1.0
         assert report.n == 3
@@ -249,7 +257,7 @@ class TestEvaluateDataset:
                 other, DistortionSpec("gaussian-noise", 0.5 + j, seed=41)))
             entries.append(ManifestEntry(rp, dp, 32, 32, dmos=float(5 + j), tag="mild"))
 
-        manifest = DatasetManifest(tuple(entries))
+        manifest = tuple(entries)
         results = score_manifest(manifest, small_config)
         assert all(r.error is None for r in results)
         report = correlation_report(results, "tpsd")
@@ -291,7 +299,7 @@ class TestEvaluateDataset:
             ),
             ManifestEntry(rp2, dp2, 32, 32, dmos=3.0, tag="a"),
         )
-        results = score_manifest(DatasetManifest(entries), small_config)
+        results = score_manifest(entries, small_config)
         assert [r.error for r in results] == [None, "FileNotFoundError", None]
         report = correlation_report(results, "tpsd")
         assert report.n == 2
@@ -310,9 +318,7 @@ class TestEvaluateDataset:
         entry_tail = ManifestEntry(
             rp, dp, 32, 32, dmos=1.0, tag="x", frame_start=6, frame_end=11
         )
-        full, tail = score_manifest(
-            DatasetManifest((entry_full, entry_tail)), cfg
-        )
+        full, tail = score_manifest((entry_full, entry_tail), cfg)
         assert full.score < 1.0
         assert tail.score == pytest.approx(1.0, abs=1e-12)
         assert tail.psnr_db == math.inf
@@ -322,7 +328,7 @@ class TestEvaluateDataset:
         dist = apply_distortion(ref, DistortionSpec("gaussian-noise", 5.0, seed=72))
         rp, dp = _write_pair(tmp_path, "solo", ref, dist)
         entries = (ManifestEntry(rp, dp, 32, 32, dmos=1.0, tag="only"),)
-        report = evaluate_dataset(DatasetManifest(entries), small_config)
+        report = correlation_report(score_manifest(entries, small_config), "tpsd")
         assert report.n == 1
         assert report.pcc is None and report.scc is None
         assert report.per_tag["only"].pcc is None
