@@ -43,8 +43,8 @@ from .metric import (
 from .spectral import TpsdPlane, tpsd_of_tensor
 from .synth import DistortionSpec, apply_distortion, make_edge_sequence
 from .video_io import (
+    FileFrames,
     LumaFrame,
-    LumaTensor,
     VideoDescriptor,
     group_tensors,
     read_yuv420_file,

@@ -258,21 +258,21 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_dump_tpsd(args: argparse.Namespace) -> int:
     _, frames = read_yuv420_file(args.ref, args.width, args.height)
-    tensors = group_tensors(frames, args.tensor_frames, args.frames)
-    for tensor in tensors:
-        plane = tpsd_of_tensor(tensor, args.center_dc, workers=args.threads)
-        path = f"{args.out}.tensor{tensor.index:03d}.grid"
+    bounds = group_tensors(len(frames), args.tensor_frames, args.frames)
+    for index, (lo, hi) in enumerate(bounds):
+        plane = tpsd_of_tensor(frames[lo : hi + 1], args.center_dc, workers=args.threads)
+        path = f"{args.out}.tensor{index:03d}.grid"
         write_grid(plane, path)
         _emit(sys.stdout, {
             "record": "tpsd",
-            "index": tensor.index,
-            "depth": tensor.depth,
+            "index": index,
+            "depth": hi - lo + 1,
             "rows": plane.values.shape[0],
             "cols": plane.values.shape[1],
             "dc_centered": plane.dc_centered,
             "path": path,
         })
-    print(f"wrote {len(tensors)} plane(s) with prefix {args.out}", file=sys.stderr)
+    print(f"wrote {len(bounds)} plane(s) with prefix {args.out}", file=sys.stderr)
     return 0
 
 

@@ -121,7 +121,7 @@ def _optional_int(row: dict, key: str) -> int | None:
 def load_manifest(path: str | os.PathLike) -> tuple[ManifestEntry, ...]:
     """Parse a manifest CSV; relative video paths resolve next to the file.
 
-    A row without one of the required columns raises ValueError naming its line.
+    A row missing a required column, or with extra fields, raises ValueError naming its line.
     """
     base = os.path.dirname(os.path.abspath(path))
     entries = []
@@ -132,6 +132,8 @@ def load_manifest(path: str | os.PathLike) -> tuple[ManifestEntry, ...]:
         if missing:
             raise ValueError(f"manifest header is missing columns: {', '.join(missing)}")
         for row in reader:
+            if None in row:
+                raise ValueError(f"manifest line {reader.line_num} has fields past the header")
             if not any((v or "").strip() for v in row.values()):
                 continue
             short = [c for c in _REQUIRED_COLUMNS if row[c] is None]
@@ -214,7 +216,7 @@ def psnr(ref: Sequence[LumaFrame], dist: Sequence[LumaFrame]) -> float:
     for r, d in zip(ref, dist):
         if r.pixels.shape != d.pixels.shape:
             raise DimensionMismatch(f"frame shapes differ: {r.pixels.shape} vs {d.pixels.shape}")
-        diff = r.pixels.astype(np.float64) - d.pixels.astype(np.float64)
+        diff = np.subtract(r.pixels, d.pixels, dtype=np.float64)
         total += float(np.dot(diff.ravel(), diff.ravel()))
         samples += diff.size
     mse = total / samples
@@ -242,11 +244,8 @@ def score_manifest(
             _, dist_frames = read_yuv420_file(entry.dist_path, entry.width, entry.height)
             frame_range = entry.frame_range(len(ref_frames))
             report = assess(ref_frames, dist_frames, cfg, frame_range, workers=workers)
-            if frame_range is None:
-                psnr_db = psnr(ref_frames, dist_frames)
-            else:
-                lo, hi = frame_range
-                psnr_db = psnr(ref_frames[lo : hi + 1], dist_frames[lo : hi + 1])
+            lo, hi = frame_range or (0, len(ref_frames) - 1)
+            psnr_db = psnr(ref_frames[lo : hi + 1], dist_frames[lo : hi + 1])
             results.append(
                 EntryResult(index=i, entry=entry, score=report.video_score, psnr_db=psnr_db)
             )

@@ -59,24 +59,16 @@ PADDING_MODES = ("mirror", "valid")
 class GaussianWindow:
     """Normalized circular-symmetric Gaussian weights on a (2d+1) x (2d+1) grid.
 
-    ``kernel1d`` is the separable 1D factor (weights == outer(kernel1d, kernel1d)).
+    Built by :func:`gaussian_window`; ``weights`` is ``outer(kernel1d, kernel1d)``.
     """
 
-    weights: np.ndarray
+    kernel1d: np.ndarray
     radius: int
     sigma: float
-    kernel1d: np.ndarray
 
-    def __post_init__(self) -> None:
-        if self.radius < 1:
-            raise ValueError(f"window radius must be >= 1, got {self.radius}")
-        if self.sigma <= 0:
-            raise ValueError(f"window sigma must be positive, got {self.sigma}")
-        size = 2 * self.radius + 1
-        if self.weights.shape != (size, size):
-            raise ValueError(
-                f"weights shape {self.weights.shape} does not match radius {self.radius}"
-            )
+    @property
+    def weights(self) -> np.ndarray:
+        return np.outer(self.kernel1d, self.kernel1d)
 
     @property
     def size(self) -> int:
@@ -92,7 +84,7 @@ def gaussian_window(radius: int = 5, sigma: float = 1.5) -> GaussianWindow:
     u = np.arange(-radius, radius + 1, dtype=np.float64)
     g = np.exp(-(u * u) / (2.0 * sigma * sigma))
     g /= g.sum()
-    return GaussianWindow(weights=np.outer(g, g), radius=radius, sigma=sigma, kernel1d=g)
+    return GaussianWindow(kernel1d=g, radius=radius, sigma=sigma)
 
 
 @dataclass(frozen=True)
@@ -301,7 +293,8 @@ def assess(
 
     Both sequences are grouped into tensors, each pair is reduced to its
     aggregated PSD planes, normalized, correlated, and pooled; tensors are
-    paired strictly by position (temporal alignment is assumed).
+    paired strictly by position (temporal alignment is assumed). Each tensor
+    is a slice of the input, so a ``FileFrames`` input is read frame by frame.
     ``zeta_callback`` receives each tensor's index and correlation map (the
     2D array ``zeta_map`` returns) as it is produced. ``workers`` is passed
     to the FFT backend.
@@ -309,25 +302,25 @@ def assess(
     cfg = config or MetricConfig()
     _check_frame_pairing(ref_frames, dist_frames)
 
-    ref_tensors = group_tensors(ref_frames, cfg.tensor_len, frame_range)
-    dist_tensors = group_tensors(dist_frames, cfg.tensor_len, frame_range)
+    bounds = group_tensors(len(ref_frames), cfg.tensor_len, frame_range)
     window = gaussian_window(cfg.window_radius, cfg.window_sigma)
 
     timings = {"transform": 0.0, "correlate": 0.0, "pool": 0.0}
     scores: list[float] = []
     depths: list[int] = []
-    for ref_t, dist_t in zip(ref_tensors, dist_tensors):
+    for index, (lo, hi) in enumerate(bounds):
         t0 = time.perf_counter()
-        plane_r = tpsd_of_tensor(ref_t, cfg.center_dc, workers=workers)
-        plane_d = tpsd_of_tensor(dist_t, cfg.center_dc, workers=workers)
+        plane_r = tpsd_of_tensor(ref_frames[lo : hi + 1], cfg.center_dc, workers=workers)
+        plane_d = tpsd_of_tensor(dist_frames[lo : hi + 1], cfg.center_dc, workers=workers)
         t1 = time.perf_counter()
         plane_r, plane_d = normalize_planes(plane_r, plane_d, cfg.plane_normalization)
         zeta = zeta_map(plane_r, plane_d, window, cfg.stability_c, cfg.padding)
         if zeta_callback is not None:
-            zeta_callback(ref_t.index, zeta)
+            zeta_callback(index, zeta)
         scores.append(tensor_score(zeta))
+        del plane_r, plane_d, zeta  # so no plane outlives its tensor
         t2 = time.perf_counter()
-        depths.append(ref_t.depth)
+        depths.append(hi - lo + 1)
         timings["transform"] += t1 - t0
         timings["correlate"] += t2 - t1
 

@@ -25,12 +25,12 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass
-from typing import TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 import scipy.fft as _fft
 
-from .video_io import LumaTensor
+from .video_io import LumaFrame
 
 __all__ = [
     "TpsdPlane",
@@ -56,37 +56,44 @@ class TpsdPlane:
             raise ValueError(f"plane must be 2D, got {self.values.ndim}D")
 
 
-def _frame_arrays(tensor: LumaTensor | np.ndarray) -> list[np.ndarray]:
-    """The tensor's frames as 2D arrays, without stacking them."""
-    if isinstance(tensor, LumaTensor):
-        return [f.pixels for f in tensor.frames]
-    arr = np.asarray(tensor, dtype=np.float64)
-    if arr.ndim != 3:
-        raise ValueError(f"tensor array must be 3D, got {arr.ndim}D")
-    if arr.shape[2] < 2:
-        raise ValueError(f"tensor depth must be >= 2, got {arr.shape[2]}")
-    return [arr[:, :, t] for t in range(arr.shape[2])]
+def _frame_arrays(tensor: Sequence[LumaFrame] | np.ndarray) -> Iterator[np.ndarray]:
+    """The tensor's frames as 2D arrays, one at a time."""
+    if isinstance(tensor, np.ndarray):
+        if tensor.ndim != 3:
+            raise ValueError(f"tensor array must be 3D, got {tensor.ndim}D")
+        if tensor.shape[2] < 2:
+            raise ValueError(f"tensor depth must be >= 2, got {tensor.shape[2]}")
+        return (tensor[:, :, t] for t in range(tensor.shape[2]))
+    if len(tensor) < 2:
+        raise ValueError(f"tensor needs at least 2 frames, got {len(tensor)}")
+    return (f.pixels for f in tensor)
 
 
 def tpsd_of_tensor(
-    tensor: LumaTensor | np.ndarray,
+    tensor: Sequence[LumaFrame] | np.ndarray,
     center_dc: bool = True,
     workers: int | None = None,
 ) -> TpsdPlane:
     """Time-aggregated PSD plane straight from a tensor, one frame at a time.
 
-    ``tensor`` is a :class:`LumaTensor` or an array of shape ``(M, N, O)``
-    with ``O >= 2``. Each frame's real-input half spectrum is folded into
-    one ``(M, N//2 + 1)`` accumulator, so memory is O(frame) whatever the
-    depth, and the dropped columns are restored from the plane's point
+    ``tensor`` is a sequence of at least 2 equally sized frames, iterated
+    once, or an array of shape ``(M, N, O)`` with ``O >= 2``. Each frame is
+    copied into one float64 buffer and its real-input half spectrum folded
+    into one ``(M, N//2 + 1)`` accumulator, so memory is O(frame) whatever
+    the depth, and the dropped columns are restored from the plane's point
     symmetry T[h, k] == T[(M-h) % M, (N-k) % N].
     """
-    frames = _frame_arrays(tensor)
-    m, n = frames[0].shape
-    n_half = n // 2 + 1
-    s_half = np.zeros((m, n_half), dtype=np.float64)
-    for frame in frames:
-        spec = _fft.rfft2(np.asarray(frame, dtype=np.float64), workers=workers)
+    frame = s_half = None
+    for pixels in _frame_arrays(tensor):
+        if frame is None:
+            m, n = pixels.shape
+            n_half = n // 2 + 1
+            frame = np.empty((m, n), dtype=np.float64)
+            s_half = np.zeros((m, n_half), dtype=np.float64)
+        elif pixels.shape != frame.shape:
+            raise ValueError(f"tensor frames disagree on shape: {pixels.shape} vs {frame.shape}")
+        np.copyto(frame, pixels)
+        spec = _fft.rfft2(frame, workers=workers)
         s_half += spec.real * spec.real
         s_half += spec.imag * spec.imag
     s_half /= m * n

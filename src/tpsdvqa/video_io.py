@@ -1,4 +1,4 @@
-"""Raw planar YUV 4:2:0 parsing and tensor grouping.
+"""Raw planar YUV 4:2:0 parsing and tensor bounds.
 
 File layout (bit-exact, no header): for each frame, ``width*height`` luma
 bytes in row-major order with the origin at the top-left, followed by two
@@ -15,7 +15,7 @@ from __future__ import annotations
 import io
 import os
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import EmptySelection, OddDimensions, TruncatedStream
 __all__ = [
     "VideoDescriptor",
     "LumaFrame",
-    "LumaTensor",
+    "FileFrames",
     "read_yuv420_luma",
     "read_yuv420_file",
     "write_yuv420",
@@ -91,40 +91,51 @@ class LumaFrame:
         return self.pixels.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class LumaTensor:
-    """A group of consecutive frames analyzed as one 3D signal.
+def _decode(source: BinaryIO, desc: VideoDescriptor, first: int, count: int) -> Iterator[LumaFrame]:
+    """Yield ``count`` frames from ``source``, each luma copied out of one reused chunk."""
+    chunk = bytearray(desc.frame_size)
+    luma = np.frombuffer(chunk, np.uint8, desc.luma_size).reshape(desc.height, desc.width)
+    for i in range(first, first + count):
+        got = source.readinto(chunk)
+        if got != desc.frame_size:
+            raise TruncatedStream(f"frame {i}: expected {desc.frame_size} bytes, got {got}")
+        pixels = luma.copy()
+        pixels.flags.writeable = False
+        yield LumaFrame(pixels)
 
-    ``index`` is the tensor's position within the video's tensor sequence.
+
+@dataclass(frozen=True)
+class FileFrames(Sequence[LumaFrame]):
+    """The frames ``indices`` of a raw YUV 4:2:0 file, decoded only when reached.
+
+    Slicing is lazy and needs a step of 1; iterating opens the file once,
+    seeks to the first frame and yields one frame per step. ``depth``,
+    ``height`` and ``width`` describe the frames without reading them.
     """
 
-    frames: tuple[LumaFrame, ...]
-    index: int
+    path: str
+    desc: VideoDescriptor
+    indices: range
 
-    def __post_init__(self) -> None:
-        if len(self.frames) < 2:
-            raise ValueError(f"tensor needs at least 2 frames, got {len(self.frames)}")
-        first = self.frames[0]
-        for f in self.frames[1:]:
-            if f.pixels.shape != first.pixels.shape:
-                raise ValueError(
-                    f"tensor frames disagree on shape: {f.pixels.shape} vs {first.pixels.shape}"
-                )
-        if self.index < 0:
-            raise ValueError(f"tensor index must be non-negative, got {self.index}")
+    def __len__(self) -> int:
+        return len(self.indices)
 
-    @property
-    def depth(self) -> int:
-        """Number of frames in the tensor."""
-        return len(self.frames)
+    depth = property(__len__)
+    height = property(lambda self: self.desc.height)
+    width = property(lambda self: self.desc.width)
 
-    @property
-    def height(self) -> int:
-        return self.frames[0].height
+    def __getitem__(self, key: int | slice) -> LumaFrame | FileFrames:
+        picked = self.indices[key]
+        if isinstance(picked, int):
+            return next(iter(FileFrames(self.path, self.desc, range(picked, picked + 1))))
+        if picked.step != 1:
+            raise ValueError(f"file-backed frames slice with step 1 only, got {picked.step}")
+        return FileFrames(self.path, self.desc, picked)
 
-    @property
-    def width(self) -> int:
-        return self.frames[0].width
+    def __iter__(self) -> Iterator[LumaFrame]:
+        with open(self.path, "rb") as fh:
+            fh.seek(self.indices.start * self.desc.frame_size)
+            yield from _decode(fh, self.desc, self.indices.start, len(self))
 
 
 def read_yuv420_luma(source: bytes | BinaryIO, desc: VideoDescriptor) -> list[LumaFrame]:
@@ -136,18 +147,7 @@ def read_yuv420_luma(source: bytes | BinaryIO, desc: VideoDescriptor) -> list[Lu
     """
     if isinstance(source, (bytes, bytearray, memoryview)):
         source = io.BytesIO(source)
-    frames = []
-    for i in range(desc.frame_count):
-        chunk = source.read(desc.frame_size)
-        if len(chunk) != desc.frame_size:
-            raise TruncatedStream(
-                f"frame {i}: expected {desc.frame_size} bytes, got {len(chunk)}"
-            )
-        # a copy, so the chunk, chroma included, is freed after the read
-        luma = np.frombuffer(chunk, dtype=np.uint8, count=desc.luma_size)
-        pixels = luma.reshape(desc.height, desc.width).copy()
-        pixels.flags.writeable = False
-        frames.append(LumaFrame(pixels))
+    frames = list(_decode(source, desc, 0, desc.frame_count))
     if source.read(1):
         raise TruncatedStream(
             f"stream has trailing bytes beyond {desc.frame_count} frames"
@@ -157,11 +157,11 @@ def read_yuv420_luma(source: bytes | BinaryIO, desc: VideoDescriptor) -> list[Lu
 
 def read_yuv420_file(
     path: str | os.PathLike, width: int, height: int
-) -> tuple[VideoDescriptor, list[LumaFrame]]:
-    """Read a raw YUV 4:2:0 file, deriving the frame count from the file size."""
+) -> tuple[VideoDescriptor, FileFrames]:
+    """Open a raw YUV 4:2:0 file lazily, deriving the frame count from the file size."""
     desc = VideoDescriptor.from_byte_length(width, height, os.path.getsize(path))
-    with open(path, "rb") as fh:
-        return desc, read_yuv420_luma(fh, desc)
+    open(path, "rb").close()  # an unreadable file fails here, not mid-score
+    return desc, FileFrames(os.fspath(path), desc, range(desc.frame_count))
 
 
 def _luma_bytes(frame: LumaFrame) -> bytes:
@@ -205,37 +205,33 @@ def write_yuv420(frames: Sequence[LumaFrame] | Iterable[LumaFrame], dest: str | 
 
 
 def group_tensors(
-    frames: Sequence[LumaFrame],
+    frame_count: int,
     tensor_len: int,
     frame_range: tuple[int, int] | None = None,
-) -> list[LumaTensor]:
-    """Group frames into consecutive non-overlapping tensors of ``tensor_len``.
+) -> list[tuple[int, int]]:
+    """Inclusive (first, last) frame bounds of consecutive tensors of ``tensor_len``.
 
     ``frame_range`` is an inclusive (start, end) pair restricting the frames
-    considered. A trailing partial group keeps its actual depth when it has
-    at least 2 frames; a single trailing frame is dropped, since a depth-1
-    tensor would degenerate to a purely spatial measurement.
+    considered among ``frame_count``. A trailing partial group keeps its
+    actual depth when it has at least 2 frames; a single trailing frame is
+    dropped, since a depth-1 tensor would degenerate to a purely spatial
+    measurement.
     """
     if tensor_len < 2:
         raise ValueError(f"tensor_len must be >= 2, got {tensor_len}")
+    start, end = 0, frame_count - 1
     if frame_range is not None:
         start, end = frame_range
-        if start < 0 or end >= len(frames) or start > end:
+        if start < 0 or end >= frame_count or start > end:
             raise ValueError(
-                f"frame range {start}:{end} outside sequence of {len(frames)} frames"
+                f"frame range {start}:{end} outside sequence of {frame_count} frames"
             )
-        selected = frames[start : end + 1]
-    else:
-        selected = frames
-    if len(selected) < 2:
+    selected = end - start + 1
+    if selected < 2:
         raise EmptySelection(
-            f"selection of {len(selected)} frame(s) is too short to form a tensor"
+            f"selection of {selected} frame(s) is too short to form a tensor"
         )
-
-    tensors = []
-    for t, offset in enumerate(range(0, len(selected), tensor_len)):
-        group = tuple(selected[offset : offset + tensor_len])
-        if len(group) < 2:
-            break  # lone trailing frame: dropped
-        tensors.append(LumaTensor(frames=group, index=t))
-    return tensors
+    return [
+        (lo, min(lo + tensor_len, end + 1) - 1)
+        for lo in range(start, end, tensor_len)
+    ]

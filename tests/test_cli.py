@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from tpsdvqa.evaluate import correlation_report, load_manifest, score_manifest
 from tpsdvqa.metric import MetricConfig, assess
 from tpsdvqa.spectral import read_grid, tpsd_of_tensor
 from tpsdvqa.synth import DistortionSpec, apply_distortion, make_edge_sequence, make_moving_texture
-from tpsdvqa.video_io import group_tensors, read_yuv420_file, write_yuv420
+from tpsdvqa.video_io import LumaFrame, group_tensors, read_yuv420_file, write_yuv420
 
 
 def run_cli(capsys, argv):
@@ -36,6 +37,17 @@ def clip_pair(tmp_path_factory):
 
 
 SMALL = ["--width", "32", "--height", "32", "--tensor-frames", "4"]
+
+
+@pytest.fixture(scope="module")
+def short_dist_pair(tmp_path_factory):
+    """A 24-frame reference and a distorted file 4 frames shorter."""
+    base = tmp_path_factory.mktemp("short")
+    ref = make_moving_texture(32, 32, 24, seed=5)
+    dist = apply_distortion(ref, DistortionSpec("gaussian-noise", 6.0, seed=6))
+    write_yuv420(ref, base / "ref.yuv")
+    write_yuv420(dist[:20], base / "short.yuv")
+    return base / "ref.yuv", base / "short.yuv"
 
 
 class TestScore:
@@ -159,6 +171,51 @@ class TestScore:
         assert code == 1
         assert err.startswith("error: EmptySelection:")
 
+    def test_short_distorted_file_diagnostic(self, capsys, short_dist_pair):
+        ref_path, short_path = short_dist_pair
+        code, out, err = run_cli(
+            capsys, ["score", "--ref", str(ref_path), "--dist", str(short_path)] + SMALL
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: FrameCountMismatch: reference has 24 frames, distorted has 20\n"
+
+    def test_frame_range_past_the_end_diagnostic(self, capsys, short_dist_pair):
+        ref_path, _ = short_dist_pair
+        code, _, err = run_cli(
+            capsys,
+            ["score", "--ref", str(ref_path), "--dist", str(ref_path), "--frames", "5:30"]
+            + SMALL,
+        )
+        assert code == 1
+        assert err == "error: ValueError: frame range 5:30 outside sequence of 24 frames\n"
+
+    def test_memory_does_not_grow_with_clip_length(self, capsys, tmp_path):
+        # frames are decoded one at a time, so the traced peak of a 120-frame
+        # pair is that of a 30-frame pair: it holds one tensor's planes, not
+        # the clips
+        rng = np.random.default_rng(3)
+        argv = ["--width", "256", "--height", "192"]
+        peaks = []
+        for count in (30, 120):
+            paths = [tmp_path / f"{name}{count}.yuv" for name in ("ref", "dist")]
+            for path in paths:
+                frames = (
+                    LumaFrame(rng.integers(0, 256, size=(192, 256), dtype=np.uint8))
+                    for _ in range(count)
+                )
+                write_yuv420(frames, path)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                code = main(["score", "--ref", str(paths[0]), "--dist", str(paths[1])] + argv)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        capsys.readouterr()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
     def test_missing_file_diagnostic(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -232,10 +289,10 @@ class TestDumpTpsd:
         records = parse_records(out)
         assert [r["index"] for r in records] == [0, 1]
         _, frames = read_yuv420_file(ref_path, 32, 32)
-        tensors = group_tensors(frames, 4)
-        for record, tensor in zip(records, tensors):
+        bounds = group_tensors(len(frames), 4)
+        for record, (lo, hi) in zip(records, bounds):
             dumped = read_grid(record["path"])
-            expected = tpsd_of_tensor(tensor, center_dc=True).values
+            expected = tpsd_of_tensor(frames[lo : hi + 1], center_dc=True).values
             assert np.array_equal(dumped, expected)
             assert record["dc_centered"] is True
 
@@ -311,6 +368,24 @@ class TestEvaluate:
         assert [r["error"] for r in entries] == [None, "ValueError", None, None]
         assert entries[1]["error_message"].startswith("dimensions must be positive")
         assert "evaluated 3/4" in err
+
+    def test_short_distorted_entry_is_a_per_entry_failure(
+        self, capsys, manifest, short_dist_pair
+    ):
+        ref_path, short_path = short_dist_pair
+        rows = manifest.read_text(encoding="utf-8").splitlines()
+        rows.insert(2, f"{ref_path},{short_path},32,32,15.0,noise,,")
+        path = manifest.parent / "short_entry.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, ["evaluate", "--manifest", str(path), "--tensor-frames", "4"]
+        )
+        assert code == 0
+        entries = [r for r in parse_records(out) if r["record"] == "entry"]
+        assert [r["error"] for r in entries] == [None, "FrameCountMismatch", None, None]
+        assert entries[1]["error_message"] == "reference has 24 frames, distorted has 20"
+        assert all(isinstance(r["score"], float) for i, r in enumerate(entries) if i != 1)
+        assert "evaluated 3/4 entries (1 failed)" in err
 
     def test_empty_manifest_diagnostic(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"

@@ -122,6 +122,16 @@ class TestPsnr:
         expected = psnr_direct([f.pixels for f in ref], [f.pixels for f in dist])
         assert psnr(ref, dist) == pytest.approx(expected, abs=1e-9)
 
+    def test_squared_error_is_exact(self, rng):
+        # every partial sum of squared 8-bit differences is an integer below
+        # 2**53, so the float64 total is exact and equals the integer one
+        ref = random_frames(rng, 64, 48, 4)
+        dist = random_frames(rng, 64, 48, 4)
+        sse = sum(
+            int(((r.pixels.astype(np.int64) - d.pixels) ** 2).sum()) for r, d in zip(ref, dist)
+        )
+        assert psnr(ref, dist) == 10.0 * math.log10(255.0**2 / (sse / (4 * 64 * 48)))
+
     def test_frame_count_mismatch(self, rng):
         frames = random_frames(rng, 4, 4, 3)
         with pytest.raises(FrameCountMismatch):
@@ -173,6 +183,19 @@ class TestManifest:
             "r.yuv,d.yuv,32\n"
         )
         with pytest.raises(ValueError, match="line 3 is missing columns: height, dmos, tag"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "header,row",
+        [
+            ("ref_path,dist_path,width,height,dmos,tag,frame_start,frame_end", ",,,,,,,,extra"),
+            ("ref_path,dist_path,width,height,dmos,tag", "a.yuv,b.yuv,32,32,1.0,x,junk"),
+        ],
+    )
+    def test_fields_past_the_header_rejected(self, tmp_path, header, row):
+        path = tmp_path / "wide.csv"
+        path.write_text(f"{header}\nr.yuv,d.yuv,32,32,1.0,x\n{row}\n")
+        with pytest.raises(ValueError, match="manifest line 3 has fields past the header"):
             load_manifest(path)
 
     def test_identical_paths_rejected(self):

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import dft2_direct, dft3_direct, tpsd_direct
 from tpsdvqa.spectral import read_grid, tpsd_of_tensor, write_grid
-from tpsdvqa.video_io import LumaFrame, LumaTensor
+from tpsdvqa.video_io import LumaFrame
 
 
 def rel_err(actual, expected):
@@ -33,9 +33,7 @@ class TestDft3:
 
     def test_accepts_luma_tensor(self, rng):
         pixels = rng.integers(0, 256, size=(4, 4), dtype=np.uint8)
-        tensor = LumaTensor(
-            frames=(LumaFrame(pixels), LumaFrame(pixels.T.copy())), index=0
-        )
+        tensor = (LumaFrame(pixels), LumaFrame(pixels.T.copy()))
         plane = tpsd_of_tensor(tensor, center_dc=False).values
         assert plane.shape == (4, 4)
         samples = np.stack([pixels, pixels.T], axis=-1).astype(np.float64)
@@ -48,6 +46,14 @@ class TestDft3:
     def test_rejects_2d_array(self):
         with pytest.raises(ValueError):
             tpsd_of_tensor(np.zeros((4, 4)))
+
+    def test_rejects_a_single_frame(self):
+        with pytest.raises(ValueError, match="at least 2 frames"):
+            tpsd_of_tensor([LumaFrame(np.zeros((2, 2)))])
+
+    def test_rejects_mixed_frame_shapes(self):
+        with pytest.raises(ValueError, match="disagree on shape"):
+            tpsd_of_tensor([LumaFrame(np.zeros((2, 2))), LumaFrame(np.zeros((2, 4)))])
 
 
 class TestPsd3:
@@ -112,10 +118,10 @@ class TestTpsd:
     @pytest.mark.parametrize("center", [False, True])
     def test_fast_path_matches_three_step_route(self, rng, shape, center):
         x = rng.random(shape) * 255
-        # the same samples as uint8 frames take the LumaTensor branch
+        # the same samples as uint8 frames take the frame-sequence branch
         frames = tuple(LumaFrame(x[:, :, t].astype(np.uint8)) for t in range(shape[2]))
         luma_samples = x.astype(np.uint8).astype(np.float64)
-        for tensor, samples in ((x, x), (LumaTensor(frames=frames, index=0), luma_samples)):
+        for tensor, samples in ((x, x), (frames, luma_samples)):
             slow = tpsd_direct(samples, center_dc=center)
             fast = tpsd_of_tensor(tensor, center_dc=center)
             assert fast.dc_centered == center
@@ -125,10 +131,9 @@ class TestTpsd:
         # the plane is accumulated frame by frame: its transient memory is a
         # few planes, not the float64 tensor and its 3D spectrum
         m = n = 256
-        frames = tuple(
+        tensor = tuple(
             LumaFrame(rng.integers(0, 256, size=(m, n), dtype=np.uint8)) for _ in range(30)
         )
-        tensor = LumaTensor(frames=frames, index=0)
         plane_bytes = m * n * np.dtype(np.float64).itemsize
         tracemalloc.start()
         try:

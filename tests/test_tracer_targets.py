@@ -13,7 +13,9 @@ BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 if BENCH_DIR not in sys.path:
     sys.path.insert(0, BENCH_DIR)
 
-import tpsdvqa.cli  # noqa: E402,F401
+import tpsdvqa.cli  # noqa: E402
+from tpsdvqa.synth import DistortionSpec, apply_distortion, make_moving_texture  # noqa: E402
+from tpsdvqa.video_io import write_yuv420  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
 # wrapped by the benchmark's video_io.to_float layer, deleted from the library
@@ -31,3 +33,37 @@ def test_every_traced_name_exists():
         tracer.uninstall()
         if not was_tracing:
             tracemalloc.stop()
+
+
+def test_traced_evaluate_counts_work_in_every_layer(capsys, tmp_path):
+    # a traced run calls the work counters on real arguments: psnr's frames
+    # need len() and a plane's tensor needs depth, height and width
+    ref = make_moving_texture(64, 48, 6, seed=1)
+    rows = ["ref_path,dist_path,width,height,dmos,tag"]
+    for i, level in enumerate((4.0, 12.0)):
+        write_yuv420(ref, tmp_path / f"r{i}.yuv")
+        write_yuv420(
+            apply_distortion(ref, DistortionSpec("gaussian-noise", level, seed=2)),
+            tmp_path / f"d{i}.yuv",
+        )
+        rows.append(f"r{i}.yuv,d{i}.yuv,64,48,{i + 1}.0,noise")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+    was_tracing = tracemalloc.is_tracing()
+    tracer = Tracer()
+    try:
+        tracer.install()
+        code = tpsdvqa.cli.main(
+            ["evaluate", "--manifest", str(manifest), "--tensor-frames", "3"]
+        )
+    finally:
+        tracer.uninstall()
+        if not was_tracing:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    for name, calls in (("video_io.read", 4), ("spectral.plane", 8), ("evaluate.psnr", 2)):
+        spans = [s for s in tracer.spans if s["name"] == name]
+        assert len(spans) == calls, name
+        assert all(s["work"] > 0 for s in spans), name

@@ -8,19 +8,14 @@ from hypothesis import strategies as st
 from conftest import random_frames
 from tpsdvqa.errors import EmptySelection, OddDimensions, TruncatedStream
 from tpsdvqa.video_io import (
+    FileFrames,
     LumaFrame,
-    LumaTensor,
     VideoDescriptor,
     group_tensors,
     read_yuv420_file,
     read_yuv420_luma,
     write_yuv420,
 )
-
-
-def tiny_frames(count):
-    """Cheap 2x2 frames carrying their index, for grouping tests."""
-    return [LumaFrame(np.full((2, 2), i % 256, dtype=np.uint8)) for i in range(count)]
 
 
 class TestDescriptor:
@@ -156,53 +151,82 @@ class TestWriteRoundTrip:
             assert np.array_equal(frames[i].pixels, frame_pixels(i))
 
 
-class TestTensorTypes:
-    def test_tensor_requires_two_frames(self):
-        with pytest.raises(ValueError):
-            LumaTensor(frames=(LumaFrame(np.zeros((2, 2))),), index=0)
+class TestFileFrames:
+    @pytest.fixture
+    def clip(self, rng, tmp_path):
+        frames = random_frames(rng, width=6, height=4, count=7)
+        path = tmp_path / "clip.yuv"
+        write_yuv420(frames, path)
+        return frames, path
 
-    def test_tensor_rejects_mixed_shapes(self):
+    def test_length_geometry_and_frames(self, clip):
+        frames, path = clip
+        desc, lazy = read_yuv420_file(path, 6, 4)
+        assert isinstance(lazy, FileFrames)
+        assert len(lazy) == lazy.depth == desc.frame_count == 7
+        assert (lazy.height, lazy.width) == (4, 6)
+        for a, b in zip(frames, lazy):
+            assert np.array_equal(a.pixels, b.pixels)
+            assert not b.pixels.flags.writeable
+        assert np.array_equal(lazy[-1].pixels, frames[-1].pixels)
+        with pytest.raises(IndexError):
+            lazy[7]
+
+    def test_slices_are_lazy_and_nest(self, clip):
+        frames, path = clip
+        _, lazy = read_yuv420_file(path, 6, 4)
+        part = lazy[2:6][1:]
+        assert isinstance(part, FileFrames)
+        assert (part.depth, part.height, part.width) == (3, 4, 6)
+        for a, b in zip(frames[3:6], part):
+            assert np.array_equal(a.pixels, b.pixels)
+        assert len(lazy[5:2]) == 0 and list(lazy[5:2]) == []
         with pytest.raises(ValueError):
-            LumaTensor(
-                frames=(LumaFrame(np.zeros((2, 2))), LumaFrame(np.zeros((2, 4)))),
-                index=0,
-            )
+            lazy[::2]
+
+    def test_file_shortened_after_open_is_truncated(self, clip):
+        _, path = clip
+        _, lazy = read_yuv420_file(path, 6, 4)
+        with open(path, "r+b") as fh:
+            fh.truncate(3 * 36 + 10)
+        assert np.array_equal(lazy[2].pixels, next(iter(lazy[2:3])).pixels)
+        with pytest.raises(TruncatedStream, match="frame 3: expected 36 bytes, got 10"):
+            list(lazy)
 
 
 class TestGroupTensors:
     def test_ten_full_tensors(self):
-        tensors = group_tensors(tiny_frames(300), 30)
-        assert [t.depth for t in tensors] == [30] * 10
-        assert [t.index for t in tensors] == list(range(10))
+        bounds = group_tensors(300, 30)
+        assert bounds == [(lo, lo + 29) for lo in range(0, 300, 30)]
 
     def test_last_210_frames(self):
-        tensors = group_tensors(tiny_frames(300), 30, frame_range=(90, 299))
-        assert [t.depth for t in tensors] == [30] * 7
-        assert tensors[0].frames[0].pixels[0, 0] == 90
+        bounds = group_tensors(300, 30, frame_range=(90, 299))
+        assert [hi - lo + 1 for lo, hi in bounds] == [30] * 7
+        assert bounds[0] == (90, 119)
 
     def test_trailing_partial_kept(self):
-        tensors = group_tensors(tiny_frames(65), 30)
-        assert [t.depth for t in tensors] == [30, 30, 5]
+        bounds = group_tensors(65, 30)
+        assert bounds == [(0, 29), (30, 59), (60, 64)]
 
     def test_single_trailing_frame_dropped(self):
-        tensors = group_tensors(tiny_frames(61), 30)
-        assert [t.depth for t in tensors] == [30, 30]
+        bounds = group_tensors(61, 30)
+        assert bounds == [(0, 29), (30, 59)]
 
     def test_empty_selection(self):
         with pytest.raises(EmptySelection):
-            group_tensors(tiny_frames(10), 5, frame_range=(3, 3))
+            group_tensors(10, 5, frame_range=(3, 3))
         with pytest.raises(EmptySelection):
-            group_tensors(tiny_frames(1), 5)
+            group_tensors(1, 5)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            group_tensors(tiny_frames(10), 1)
+            group_tensors(10, 1)
         with pytest.raises(ValueError):
-            group_tensors(tiny_frames(10), 5, frame_range=(0, 10))
+            group_tensors(10, 5, frame_range=(0, 10))
         with pytest.raises(ValueError):
-            group_tensors(tiny_frames(10), 5, frame_range=(-1, 5))
+            group_tensors(10, 5, frame_range=(-1, 5))
         with pytest.raises(ValueError):
-            group_tensors(tiny_frames(10), 5, frame_range=(7, 3))
+            group_tensors(10, 5, frame_range=(7, 3))
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -211,25 +235,22 @@ class TestGroupTensors:
         data=st.data(),
     )
     def test_grouping_invariants(self, count, tensor_len, data):
-        frames = tiny_frames(count)
         use_range = data.draw(st.booleans())
         if use_range:
             start = data.draw(st.integers(min_value=0, max_value=count - 2))
             end = data.draw(st.integers(min_value=start + 1, max_value=count - 1))
             frame_range = (start, end)
-            selected = frames[start : end + 1]
         else:
             frame_range = None
-            selected = frames
-        tensors = group_tensors(frames, tensor_len, frame_range)
+            start, end = 0, count - 1
+        bounds = group_tensors(count, tensor_len, frame_range)
 
-        depths = [t.depth for t in tensors]
+        depths = [hi - lo + 1 for lo, hi in bounds]
         # depths sum to the selection size, minus at most one dropped frame
-        assert sum(depths) in (len(selected), len(selected) - 1)
+        assert sum(depths) in (end - start + 1, end - start)
         # all full except possibly the last, which still has >= 2 frames
         assert all(d == tensor_len for d in depths[:-1])
         assert 2 <= depths[-1] <= tensor_len
-        # order preserved: concatenation reproduces the selected prefix
-        flattened = [f for t in tensors for f in t.frames]
-        assert all(a is b for a, b in zip(flattened, selected))
-        assert [t.index for t in tensors] == list(range(len(tensors)))
+        # order preserved: the tensors tile the selection from its first frame
+        assert bounds[0][0] == start
+        assert all(b[0] == a[1] + 1 for a, b in zip(bounds, bounds[1:]))
