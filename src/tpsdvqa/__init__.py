@@ -6,7 +6,6 @@ window, and pool the correlation maps into a single video score.
 """
 
 from .errors import (
-    CenteringMismatch,
     ConstantInput,
     DimensionMismatch,
     EmptyManifest,
@@ -40,7 +39,7 @@ from .metric import (
     video_score,
     zeta_map,
 )
-from .spectral import TpsdPlane, tpsd_of_tensor
+from .spectral import tpsd_of_tensor
 from .synth import DistortionSpec, apply_distortion, make_edge_sequence
 from .video_io import (
     FileFrames,

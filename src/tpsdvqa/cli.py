@@ -105,8 +105,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
     out, own = _open_out(args)
     try:
         t0 = time.perf_counter()
-        _, ref_frames = read_yuv420_file(args.ref, args.width, args.height)
-        _, dist_frames = read_yuv420_file(args.dist, args.width, args.height)
+        ref_frames = read_yuv420_file(args.ref, args.width, args.height)
+        dist_frames = read_yuv420_file(args.dist, args.width, args.height)
         read_seconds = time.perf_counter() - t0
 
         def dump_zeta(index: int, zeta: np.ndarray) -> None:
@@ -257,7 +257,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump_tpsd(args: argparse.Namespace) -> int:
-    _, frames = read_yuv420_file(args.ref, args.width, args.height)
+    frames = read_yuv420_file(args.ref, args.width, args.height)
     bounds = group_tensors(len(frames), args.tensor_frames, args.frames)
     for index, (lo, hi) in enumerate(bounds):
         plane = tpsd_of_tensor(frames[lo : hi + 1], args.center_dc, workers=args.threads)
@@ -267,9 +267,9 @@ def _cmd_dump_tpsd(args: argparse.Namespace) -> int:
             "record": "tpsd",
             "index": index,
             "depth": hi - lo + 1,
-            "rows": plane.values.shape[0],
-            "cols": plane.values.shape[1],
-            "dc_centered": plane.dc_centered,
+            "rows": plane.shape[0],
+            "cols": plane.shape[1],
+            "dc_centered": args.center_dc,
             "path": path,
         })
     print(f"wrote {len(bounds)} plane(s) with prefix {args.out}", file=sys.stderr)

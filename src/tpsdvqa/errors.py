@@ -29,10 +29,6 @@ class DimensionMismatch(VqaError):
     """Two arrays that must share a shape do not."""
 
 
-class CenteringMismatch(VqaError):
-    """Planes with different DC-centering flags cannot be correlated."""
-
-
 class FrameCountMismatch(VqaError):
     """Reference and distorted sequences have different frame counts."""
 

@@ -121,7 +121,8 @@ def _optional_int(row: dict, key: str) -> int | None:
 def load_manifest(path: str | os.PathLike) -> tuple[ManifestEntry, ...]:
     """Parse a manifest CSV; relative video paths resolve next to the file.
 
-    A row missing a required column, or with extra fields, raises ValueError naming its line.
+    A row missing a required column, with extra fields, or with a value that
+    does not convert or validate raises ValueError naming its line.
     """
     base = os.path.dirname(os.path.abspath(path))
     entries = []
@@ -141,8 +142,8 @@ def load_manifest(path: str | os.PathLike) -> tuple[ManifestEntry, ...]:
                 raise ValueError(
                     f"manifest line {reader.line_num} is missing columns: {', '.join(short)}"
                 )
-            entries.append(
-                ManifestEntry(
+            try:
+                entry = ManifestEntry(
                     ref_path=os.path.join(base, row["ref_path"].strip()),
                     dist_path=os.path.join(base, row["dist_path"].strip()),
                     width=int(row["width"]),
@@ -152,7 +153,9 @@ def load_manifest(path: str | os.PathLike) -> tuple[ManifestEntry, ...]:
                     frame_start=_optional_int(row, "frame_start"),
                     frame_end=_optional_int(row, "frame_end"),
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"manifest line {reader.line_num}: {exc}") from exc
+            entries.append(entry)
     return tuple(entries)
 
 
@@ -240,8 +243,8 @@ def score_manifest(
     results = []
     for i, entry in enumerate(entries):
         try:
-            _, ref_frames = read_yuv420_file(entry.ref_path, entry.width, entry.height)
-            _, dist_frames = read_yuv420_file(entry.dist_path, entry.width, entry.height)
+            ref_frames = read_yuv420_file(entry.ref_path, entry.width, entry.height)
+            dist_frames = read_yuv420_file(entry.dist_path, entry.width, entry.height)
             frame_range = entry.frame_range(len(ref_frames))
             report = assess(ref_frames, dist_frames, cfg, frame_range, workers=workers)
             lo, hi = frame_range or (0, len(ref_frames) - 1)

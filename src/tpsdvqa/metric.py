@@ -26,14 +26,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.ndimage import correlate1d
 
-from .errors import (
-    CenteringMismatch,
-    DimensionMismatch,
-    FrameCountMismatch,
-    NegativeBase,
-    PlaneTooSmall,
-)
-from .spectral import TpsdPlane, tpsd_of_tensor
+from .errors import DimensionMismatch, FrameCountMismatch, NegativeBase, PlaneTooSmall
+from .spectral import tpsd_of_tensor
 from .video_io import LumaFrame, group_tensors
 
 __all__ = [
@@ -127,9 +121,7 @@ class QualityReport:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def _plane_values(plane: TpsdPlane | np.ndarray) -> np.ndarray:
-    if isinstance(plane, TpsdPlane):
-        return plane.values
+def _plane_values(plane: np.ndarray) -> np.ndarray:
     arr = np.asarray(plane, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"plane must be 2D, got {arr.ndim}D")
@@ -137,8 +129,8 @@ def _plane_values(plane: TpsdPlane | np.ndarray) -> np.ndarray:
 
 
 def normalize_planes(
-    ref: TpsdPlane, dist: TpsdPlane, mode: str = "ref-max"
-) -> tuple[TpsdPlane, TpsdPlane]:
+    ref: np.ndarray, dist: np.ndarray, mode: str = "ref-max"
+) -> tuple[np.ndarray, np.ndarray]:
     """Map a reference/distorted plane pair into the metric's working range.
 
     ``ref-max`` divides both planes by the reference plane's maximum entry
@@ -147,24 +139,18 @@ def normalize_planes(
     """
     if mode not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization {mode!r}")
-    if ref.values.shape != dist.values.shape:
-        raise DimensionMismatch(
-            f"plane shapes differ: {ref.values.shape} vs {dist.values.shape}"
-        )
+    ref = _plane_values(ref)
+    dist = _plane_values(dist)
+    if ref.shape != dist.shape:
+        raise DimensionMismatch(f"plane shapes differ: {ref.shape} vs {dist.shape}")
     if mode == "none":
         return ref, dist
     if mode == "ref-max":
-        scale = float(ref.values.max())
+        scale = float(ref.max())
         if scale <= 0.0:
             return ref, dist
-        return (
-            TpsdPlane(ref.values / scale, ref.dc_centered),
-            TpsdPlane(dist.values / scale, dist.dc_centered),
-        )
-    return (
-        TpsdPlane(np.log10(1.0 + ref.values), ref.dc_centered),
-        TpsdPlane(np.log10(1.0 + dist.values), dist.dc_centered),
-    )
+        return ref / scale, dist / scale
+    return np.log10(1.0 + ref), np.log10(1.0 + dist)
 
 
 def _check_plane_size(shape: tuple[int, ...], window: GaussianWindow) -> None:
@@ -188,8 +174,8 @@ def _smooth(values: np.ndarray, window: GaussianWindow, padding: str) -> np.ndar
 
 
 def local_moments(
-    x_plane: TpsdPlane | np.ndarray,
-    y_plane: TpsdPlane | np.ndarray,
+    x_plane: np.ndarray,
+    y_plane: np.ndarray,
     window: GaussianWindow,
     padding: str = "mirror",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -216,8 +202,8 @@ def local_moments(
 
 
 def zeta_map(
-    ref: TpsdPlane | np.ndarray,
-    dist: TpsdPlane | np.ndarray,
+    ref: np.ndarray,
+    dist: np.ndarray,
     window: GaussianWindow,
     c: float = 4.5e-4,
     padding: str = "mirror",
@@ -226,16 +212,11 @@ def zeta_map(
 
     Returns a 2D array holding, per pixel, (cov + C) / (sigma_ref * sigma_dist
     + C). Cauchy-Schwarz bounds the result to [-1, 1] up to float rounding.
-    Planes must agree in shape and DC-centering and are expected to be
+    Planes must agree in shape and DC placement and are expected to be
     already normalized.
     """
     if c <= 0:
         raise ValueError(f"stability constant must be positive, got {c}")
-    if isinstance(ref, TpsdPlane) and isinstance(dist, TpsdPlane):
-        if ref.dc_centered != dist.dc_centered:
-            raise CenteringMismatch(
-                f"dc_centered flags differ: ref={ref.dc_centered} dist={dist.dc_centered}"
-            )
     _, _, sigma_x, sigma_y, cov = local_moments(ref, dist, window, padding)
     return (cov + c) / (sigma_x * sigma_y + c)
 
@@ -267,20 +248,6 @@ def video_score(tensor_scores: Sequence[float], beta: float = 1.0) -> float:
     return mean**beta
 
 
-def _check_frame_pairing(
-    ref_frames: Sequence[LumaFrame], dist_frames: Sequence[LumaFrame]
-) -> None:
-    if len(ref_frames) != len(dist_frames):
-        raise FrameCountMismatch(
-            f"reference has {len(ref_frames)} frames, distorted has {len(dist_frames)}"
-        )
-    if ref_frames and ref_frames[0].pixels.shape != dist_frames[0].pixels.shape:
-        raise DimensionMismatch(
-            f"frame shapes differ: {ref_frames[0].pixels.shape} vs "
-            f"{dist_frames[0].pixels.shape}"
-        )
-
-
 def assess(
     ref_frames: Sequence[LumaFrame],
     dist_frames: Sequence[LumaFrame],
@@ -300,7 +267,10 @@ def assess(
     to the FFT backend.
     """
     cfg = config or MetricConfig()
-    _check_frame_pairing(ref_frames, dist_frames)
+    if len(ref_frames) != len(dist_frames):
+        raise FrameCountMismatch(
+            f"reference has {len(ref_frames)} frames, distorted has {len(dist_frames)}"
+        )
 
     bounds = group_tensors(len(ref_frames), cfg.tensor_len, frame_range)
     window = gaussian_window(cfg.window_radius, cfg.window_sigma)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import io
 import os
-from dataclasses import dataclass
 from typing import Iterator, Sequence, TextIO
 
 import numpy as np
@@ -33,27 +32,10 @@ import scipy.fft as _fft
 from .video_io import LumaFrame
 
 __all__ = [
-    "TpsdPlane",
     "tpsd_of_tensor",
     "write_grid",
     "read_grid",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class TpsdPlane:
-    """Time-aggregated PSD plane, shape (M, N).
-
-    ``dc_centered`` records whether the zero-frequency bin has been shifted
-    to (M//2, N//2).
-    """
-
-    values: np.ndarray
-    dc_centered: bool = False
-
-    def __post_init__(self) -> None:
-        if self.values.ndim != 2:
-            raise ValueError(f"plane must be 2D, got {self.values.ndim}D")
 
 
 def _frame_arrays(tensor: Sequence[LumaFrame] | np.ndarray) -> Iterator[np.ndarray]:
@@ -73,15 +55,17 @@ def tpsd_of_tensor(
     tensor: Sequence[LumaFrame] | np.ndarray,
     center_dc: bool = True,
     workers: int | None = None,
-) -> TpsdPlane:
+) -> np.ndarray:
     """Time-aggregated PSD plane straight from a tensor, one frame at a time.
 
-    ``tensor`` is a sequence of at least 2 equally sized frames, iterated
-    once, or an array of shape ``(M, N, O)`` with ``O >= 2``. Each frame is
-    copied into one float64 buffer and its real-input half spectrum folded
-    into one ``(M, N//2 + 1)`` accumulator, so memory is O(frame) whatever
-    the depth, and the dropped columns are restored from the plane's point
-    symmetry T[h, k] == T[(M-h) % M, (N-k) % N].
+    Returns the ``(M, N)`` float64 plane, with the zero-frequency bin moved
+    to ``(M//2, N//2)`` when ``center_dc`` is set. ``tensor`` is a sequence
+    of at least 2 equally sized frames, iterated once, or an array of shape
+    ``(M, N, O)`` with ``O >= 2``. Each frame is copied into one float64
+    buffer and its real-input half spectrum folded into one
+    ``(M, N//2 + 1)`` accumulator, so memory is O(frame) whatever the depth,
+    and the dropped columns are restored from the plane's point symmetry
+    T[h, k] == T[(M-h) % M, (N-k) % N].
     """
     frame = s_half = None
     for pixels in _frame_arrays(tensor):
@@ -102,19 +86,17 @@ def tpsd_of_tensor(
     plane[:, :n_half] = s_half
     # column k >= n_half mirrors row (M-h) % M of column N-k, for k = n_half..N-1
     plane[:, n_half:] = s_half[(m - np.arange(m)) % m, n - n_half : 0 : -1]
-    if center_dc:
-        plane = np.fft.fftshift(plane)
-    return TpsdPlane(values=plane, dc_centered=center_dc)
+    return np.fft.fftshift(plane) if center_dc else plane
 
 
-def write_grid(plane: TpsdPlane | np.ndarray, dest: str | os.PathLike | TextIO) -> None:
+def write_grid(values: np.ndarray, dest: str | os.PathLike | TextIO) -> None:
     """Dump a 2D array as a self-describing text grid.
 
     First line: ``<rows> <cols>``; then one line per row of full-precision
     row-major values. Meant for external plotting of TPSD planes and
     correlation maps.
     """
-    values = plane.values if isinstance(plane, TpsdPlane) else np.asarray(plane)
+    values = np.asarray(values)
     if values.ndim != 2:
         raise ValueError(f"grid dump needs a 2D array, got {values.ndim}D")
     own = isinstance(dest, (str, os.PathLike))

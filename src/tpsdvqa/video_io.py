@@ -155,13 +155,14 @@ def read_yuv420_luma(source: bytes | BinaryIO, desc: VideoDescriptor) -> list[Lu
     return frames
 
 
-def read_yuv420_file(
-    path: str | os.PathLike, width: int, height: int
-) -> tuple[VideoDescriptor, FileFrames]:
-    """Open a raw YUV 4:2:0 file lazily, deriving the frame count from the file size."""
+def read_yuv420_file(path: str | os.PathLike, width: int, height: int) -> FileFrames:
+    """Open a raw YUV 4:2:0 file lazily, deriving the frame count from the file size.
+
+    The result's ``desc`` holds the geometry.
+    """
     desc = VideoDescriptor.from_byte_length(width, height, os.path.getsize(path))
     open(path, "rb").close()  # an unreadable file fails here, not mid-score
-    return desc, FileFrames(os.fspath(path), desc, range(desc.frame_count))
+    return FileFrames(os.fspath(path), desc, range(desc.frame_count))
 
 
 def _luma_bytes(frame: LumaFrame) -> bytes:

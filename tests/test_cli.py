@@ -1,3 +1,4 @@
+import builtins
 import json
 import subprocess
 import sys
@@ -76,8 +77,8 @@ class TestScore:
         )
         assert code == 0
         summary = [r for r in parse_records(out) if r["record"] == "summary"][0]
-        _, ref = read_yuv420_file(ref_path, 32, 32)
-        _, dist = read_yuv420_file(dist_path, 32, 32)
+        ref = read_yuv420_file(ref_path, 32, 32)
+        dist = read_yuv420_file(dist_path, 32, 32)
         expected = assess(ref, dist, MetricConfig(tensor_len=4)).video_score
         assert summary["video_score"] == expected
 
@@ -216,6 +217,25 @@ class TestScore:
         capsys.readouterr()
         assert peaks[1] <= 1.1 * peaks[0], peaks
 
+    def test_each_tensor_reads_each_file_once(self, capsys, clip_pair, monkeypatch):
+        # one open per file to check it is readable, then one per tensor
+        # slice; nothing decodes a frame outside the tensors
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file).endswith(".yuv"):
+                opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        ref_path, dist_path = clip_pair
+        code, _, _ = run_cli(
+            capsys, ["score", "--ref", str(ref_path), "--dist", str(dist_path)] + SMALL
+        )
+        assert code == 0
+        assert sorted(opened) == sorted([str(ref_path), str(dist_path)] * 3)
+
     def test_missing_file_diagnostic(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -238,7 +258,7 @@ class TestGenerate:
         record = parse_records(out)[0]
         assert record["frames"] == 2
         assert out_path.stat().st_size == 2 * 64 * 64 * 3 // 2
-        _, frames = read_yuv420_file(out_path, 64, 64)
+        frames = read_yuv420_file(out_path, 64, 64)
         expected = make_edge_sequence(64, 64, motion=False)
         for a, b in zip(frames, expected):
             assert np.array_equal(a.pixels, b.pixels)
@@ -288,11 +308,11 @@ class TestDumpTpsd:
         assert code == 0
         records = parse_records(out)
         assert [r["index"] for r in records] == [0, 1]
-        _, frames = read_yuv420_file(ref_path, 32, 32)
+        frames = read_yuv420_file(ref_path, 32, 32)
         bounds = group_tensors(len(frames), 4)
         for record, (lo, hi) in zip(records, bounds):
             dumped = read_grid(record["path"])
-            expected = tpsd_of_tensor(frames[lo : hi + 1], center_dc=True).values
+            expected = tpsd_of_tensor(frames[lo : hi + 1], center_dc=True)
             assert np.array_equal(dumped, expected)
             assert record["dc_centered"] is True
 

@@ -198,6 +198,24 @@ class TestManifest:
         with pytest.raises(ValueError, match="manifest line 3 has fields past the header"):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("r.yuv,d.yuv,abc,32,1.0,x,,", "invalid literal for int"),
+            ("r.yuv,d.yuv,32,32,1.0,x,x,", "invalid literal for int"),
+            ("r.yuv,d.yuv,32,32,nan,x,,", "dmos must be finite"),
+            ("r.yuv,r.yuv,32,32,1.0,x,,", "entry paths must be distinct"),
+        ],
+    )
+    def test_bad_value_rejected_with_its_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(
+            "ref_path,dist_path,width,height,dmos,tag,frame_start,frame_end\n"
+            f"r.yuv,d.yuv,32,32,1.0,x,,\n{row}\n"
+        )
+        with pytest.raises(ValueError, match=f"^manifest line 3: {message}"):
+            load_manifest(path)
+
     def test_identical_paths_rejected(self):
         with pytest.raises(ValueError):
             ManifestEntry("same.yuv", "same.yuv", 4, 4, 1.0, "x")

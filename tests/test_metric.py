@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import frames_from_array
 from oracles import local_moments_direct, pipeline_direct, zeta_direct
 from tpsdvqa.errors import (
-    CenteringMismatch,
     DimensionMismatch,
     FrameCountMismatch,
     NegativeBase,
@@ -20,8 +21,8 @@ from tpsdvqa.metric import (
     video_score,
     zeta_map,
 )
-from tpsdvqa.spectral import TpsdPlane
 from tpsdvqa.synth import DistortionSpec, apply_distortion, make_moving_texture
+from tpsdvqa.video_io import LumaFrame
 
 # center weight of the default 11x11, sigma 1.5 window, frozen from exact
 # rational/series arithmetic
@@ -138,13 +139,6 @@ class TestZetaMap:
         with pytest.raises(DimensionMismatch):
             zeta_map(np.ones((12, 12)), np.ones((12, 14)), w)
 
-    def test_centering_mismatch(self):
-        w = gaussian_window(2, 1.0)
-        a = TpsdPlane(np.ones((12, 12)), dc_centered=True)
-        b = TpsdPlane(np.ones((12, 12)), dc_centered=False)
-        with pytest.raises(CenteringMismatch):
-            zeta_map(a, b, w)
-
     def test_valid_padding_shrinks_map(self, rng):
         w = gaussian_window(3, 1.5)
         x = rng.random((16, 16))
@@ -154,27 +148,27 @@ class TestZetaMap:
 
 class TestNormalizePlanes:
     def test_ref_max_maps_reference_into_unit_range(self, rng):
-        ref = TpsdPlane(rng.random((8, 8)) * 1e9)
-        dist = TpsdPlane(rng.random((8, 8)) * 1e9)
+        ref = rng.random((8, 8)) * 1e9
+        dist = rng.random((8, 8)) * 1e9
         nr, nd = normalize_planes(ref, dist, "ref-max")
-        assert nr.values.max() == pytest.approx(1.0)
-        assert np.array_equal(nd.values, dist.values / ref.values.max())
+        assert nr.max() == pytest.approx(1.0)
+        assert np.array_equal(nd, dist / ref.max())
 
     def test_all_zero_reference_passes_through(self):
-        ref = TpsdPlane(np.zeros((4, 4)))
-        dist = TpsdPlane(np.ones((4, 4)))
+        ref = np.zeros((4, 4))
+        dist = np.ones((4, 4))
         nr, nd = normalize_planes(ref, dist, "ref-max")
-        assert np.array_equal(nr.values, ref.values)
-        assert np.array_equal(nd.values, dist.values)
+        assert np.array_equal(nr, ref)
+        assert np.array_equal(nd, dist)
 
     def test_log10_mode(self):
-        ref = TpsdPlane(np.array([[0.0, 9.0], [99.0, 999.0]]))
+        ref = np.array([[0.0, 9.0], [99.0, 999.0]])
         nr, _ = normalize_planes(ref, ref, "log10")
-        assert np.allclose(nr.values, [[0.0, 1.0], [2.0, 3.0]])
+        assert np.allclose(nr, [[0.0, 1.0], [2.0, 3.0]])
 
     def test_none_mode_is_identity(self, rng):
-        ref = TpsdPlane(rng.random((4, 4)))
-        dist = TpsdPlane(rng.random((4, 4)))
+        ref = rng.random((4, 4))
+        dist = rng.random((4, 4))
         nr, nd = normalize_planes(ref, dist, "none")
         assert nr is ref and nd is dist
 
@@ -348,6 +342,43 @@ class TestAssess:
             padding=padding,
         )
         assert report.video_score == pytest.approx(expected, abs=1e-9)
+
+
+class TestBlindSpots:
+    """What the time-aggregated plane cannot see.
+
+    The plane is a sum of per-frame 2D periodograms: it carries no temporal
+    order, and a periodogram ignores a circular shift of its frame.
+    """
+
+    FRAMES = make_moving_texture(64, 48, 8, seed=21)
+    MODES = ("ref-max", "log10", "none")
+
+    def _scores(self, dist):
+        return [
+            assess(self.FRAMES, dist, MetricConfig(tensor_len=8, plane_normalization=mode))
+            .video_score
+            for mode in self.MODES
+        ]
+
+    @settings(deadline=None, max_examples=20)
+    @given(order=st.permutations(range(8)))
+    def test_frame_order_is_invisible(self, order):
+        dist = [self.FRAMES[i] for i in order]
+        assert all(abs(s - 1.0) <= 1e-12 for s in self._scores(dist))
+
+    @settings(deadline=None, max_examples=20)
+    @given(t=st.integers(0, 7), dy=st.integers(0, 47), dx=st.integers(0, 63))
+    def test_circular_shift_of_one_frame_is_invisible(self, t, dy, dx):
+        dist = list(self.FRAMES)
+        dist[t] = LumaFrame(np.roll(dist[t].pixels, (dy, dx), axis=(0, 1)))
+        assert all(abs(s - 1.0) <= 1e-12 for s in self._scores(dist))
+
+    def test_edge_replicated_shift_is_seen(self):
+        dist = list(self.FRAMES)
+        dist[3] = LumaFrame(np.pad(dist[3].pixels, ((0, 0), (7, 0)), mode="edge")[:, :-7])
+        cfg = MetricConfig(tensor_len=8, plane_normalization="log10")
+        assert assess(self.FRAMES, dist, cfg).video_score < 0.99
 
 
 class TestMetricConfig:

@@ -122,7 +122,8 @@ class TestWriteRoundTrip:
         frames = random_frames(rng, width=16, height=8, count=3)
         path = tmp_path / "clip.yuv"
         write_yuv420(frames, path)
-        desc, back = read_yuv420_file(path, 16, 8)
+        back = read_yuv420_file(path, 16, 8)
+        desc = back.desc
         assert desc.frame_count == 3
         for a, b in zip(frames, back):
             assert np.array_equal(a.pixels, b.pixels)
@@ -144,7 +145,8 @@ class TestWriteRoundTrip:
 
         assert write_yuv420(gen(), path) == 300
         assert path.stat().st_size == 414_720_000
-        desc, frames = read_yuv420_file(path, 1280, 720)
+        frames = read_yuv420_file(path, 1280, 720)
+        desc = frames.desc
         assert desc.frame_count == 300
         assert len(frames) == 300
         for i in (0, 150, 299):
@@ -161,7 +163,8 @@ class TestFileFrames:
 
     def test_length_geometry_and_frames(self, clip):
         frames, path = clip
-        desc, lazy = read_yuv420_file(path, 6, 4)
+        lazy = read_yuv420_file(path, 6, 4)
+        desc = lazy.desc
         assert isinstance(lazy, FileFrames)
         assert len(lazy) == lazy.depth == desc.frame_count == 7
         assert (lazy.height, lazy.width) == (4, 6)
@@ -174,7 +177,7 @@ class TestFileFrames:
 
     def test_slices_are_lazy_and_nest(self, clip):
         frames, path = clip
-        _, lazy = read_yuv420_file(path, 6, 4)
+        lazy = read_yuv420_file(path, 6, 4)
         part = lazy[2:6][1:]
         assert isinstance(part, FileFrames)
         assert (part.depth, part.height, part.width) == (3, 4, 6)
@@ -186,7 +189,7 @@ class TestFileFrames:
 
     def test_file_shortened_after_open_is_truncated(self, clip):
         _, path = clip
-        _, lazy = read_yuv420_file(path, 6, 4)
+        lazy = read_yuv420_file(path, 6, 4)
         with open(path, "r+b") as fh:
             fh.truncate(3 * 36 + 10)
         assert np.array_equal(lazy[2].pixels, next(iter(lazy[2:3])).pixels)
