@@ -42,7 +42,10 @@ class LengthMismatch(VqaError):
 
 
 class ConstantInput(VqaError):
-    """A correlation input has zero variance, so the coefficient is undefined."""
+    """The correlation coefficient is undefined for these inputs.
+
+    That is the case for zero variance, a non-finite sample, or fewer than two samples.
+    """
 
 
 class EmptyManifest(VqaError):

@@ -14,6 +14,8 @@ Manifest file format: UTF-8 comma-separated text with a required header row
 ``ref_path,dist_path,width,height,dmos,tag,frame_start,frame_end`` (the two
 frame columns are optional and may be blank per row; indices are inclusive
 and 0-based). Relative paths resolve against the manifest's directory.
+Paths are compared by the file they resolve to, so ``ref.yuv`` and
+``./ref.yuv`` name the same clip.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +36,7 @@ from .errors import (
     LengthMismatch,
     VqaError,
 )
-from .metric import MetricConfig, assess
+from .metric import MetricConfig, assess, tensor_bounds, video_score
 from .video_io import LumaFrame, read_yuv420_file
 
 __all__ = [
@@ -53,6 +55,15 @@ __all__ = [
 _REQUIRED_COLUMNS = ("ref_path", "dist_path", "width", "height", "dmos", "tag")
 
 
+def _clip_key(path: str) -> str:
+    """The file ``path`` opens, so that two spellings of one clip compare equal.
+
+    A path that opens nothing keeps its own text: the OS resolves ``..``
+    after a symlink or a missing directory differently from plain text.
+    """
+    return os.path.realpath(path) if os.path.exists(path) else path
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     """One reference/distorted pair with its subjective label."""
@@ -67,7 +78,7 @@ class ManifestEntry:
     frame_end: int | None = None
 
     def __post_init__(self) -> None:
-        if self.ref_path == self.dist_path:
+        if _clip_key(self.ref_path) == _clip_key(self.dist_path):
             raise ValueError(f"entry paths must be distinct, both are {self.ref_path!r}")
         if not math.isfinite(self.dmos):
             raise ValueError(f"dmos must be finite, got {self.dmos}")
@@ -162,8 +173,9 @@ def load_manifest(path: str | os.PathLike) -> tuple[ManifestEntry, ...]:
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation coefficient.
 
-    Raises LengthMismatch for unequal lengths and ConstantInput when either
-    side has zero variance (the ratio is undefined).
+    Raises LengthMismatch for unequal lengths and ConstantInput when the
+    coefficient is undefined: fewer than 2 samples, a non-finite sample, or
+    zero variance on either side.
     """
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
@@ -171,6 +183,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise LengthMismatch(f"need equal-length 1D sequences, got {xa.shape} and {ya.shape}")
     if xa.size < 2:
         raise ConstantInput(f"need at least 2 samples, got {xa.size}")
+    if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
+        raise ConstantInput("correlation is undefined for a non-finite sample")
     dx = xa - xa.mean()
     dy = ya - ya.mean()
     sx2 = float(np.dot(dx, dx))
@@ -228,6 +242,10 @@ def psnr(ref: Sequence[LumaFrame], dist: Sequence[LumaFrame]) -> float:
     return 10.0 * math.log10(255.0**2 / mse)
 
 
+def _failed(index: int, entry: ManifestEntry, exc: Exception) -> EntryResult:
+    return EntryResult(index=index, entry=entry, error=type(exc).__name__, error_message=str(exc))
+
+
 def score_manifest(
     entries: Sequence[ManifestEntry],
     config: MetricConfig | None = None,
@@ -235,30 +253,76 @@ def score_manifest(
 ) -> list[EntryResult]:
     """Score every manifest entry, collecting per-entry failures instead of aborting.
 
-    A manifest without entries raises EmptyManifest.
+    Entries that share a reference clip, geometry and frame range form a
+    group; groups run in the order of their first entries. A group opens its
+    reference once and walks its tensors in order: each reference tensor is
+    transformed once, on the first entry that gets that far, and every entry
+    of the group is scored against that one plane before the next tensor.
+    Memory thus holds one reference plane, whatever the clip length or the
+    group size. A reference that cannot be opened fails every entry of its
+    group. Results come back in manifest order. A manifest without entries
+    raises EmptyManifest.
     """
     if not entries:
         raise EmptyManifest("manifest has no entries")
     cfg = config or MetricConfig()
-    results = []
-    for i, entry in enumerate(entries):
+    groups: dict[tuple, list[int]] = {}
+    for i, e in enumerate(entries):
+        key = (_clip_key(e.ref_path), e.width, e.height, e.frame_start, e.frame_end)
+        groups.setdefault(key, []).append(i)
+    results: dict[int, EntryResult] = {}
+    for indices in groups.values():
+        results.update(_score_group(entries, indices, cfg, workers))
+    return [results[i] for i in range(len(entries))]
+
+
+def _score_group(
+    entries: Sequence[ManifestEntry],
+    indices: list[int],
+    cfg: MetricConfig,
+    workers: int | None,
+) -> dict[int, EntryResult]:
+    first = entries[indices[0]]
+    try:
+        ref_frames = read_yuv420_file(first.ref_path, first.width, first.height)
+    except (VqaError, OSError, ValueError) as exc:
+        return {i: _failed(i, entries[i], exc) for i in indices}
+    frame_range = first.frame_range(len(ref_frames))
+    done: dict[int, EntryResult] = {}
+    live: dict[int, tuple[Sequence[LumaFrame], list[float]]] = {}
+    bounds: list[tuple[int, int]] = []
+    for i in indices:
+        entry = entries[i]
         try:
-            ref_frames = read_yuv420_file(entry.ref_path, entry.width, entry.height)
             dist_frames = read_yuv420_file(entry.dist_path, entry.width, entry.height)
-            frame_range = entry.frame_range(len(ref_frames))
-            report = assess(ref_frames, dist_frames, cfg, frame_range, workers=workers)
-            lo, hi = frame_range or (0, len(ref_frames) - 1)
-            psnr_db = psnr(ref_frames[lo : hi + 1], dist_frames[lo : hi + 1])
-            results.append(
-                EntryResult(index=i, entry=entry, score=report.video_score, psnr_db=psnr_db)
-            )
+            bounds = tensor_bounds(ref_frames, dist_frames, cfg.tensor_len, frame_range)
+            live[i] = (dist_frames, [])
         except (VqaError, OSError, ValueError) as exc:
-            results.append(
-                EntryResult(
-                    index=i, entry=entry, error=type(exc).__name__, error_message=str(exc)
+            done[i] = _failed(i, entry, exc)
+    # each tensor is scored on its own and pooled below with the real beta,
+    # so a negative tensor score cannot raise NegativeBase on its own
+    per_tensor = replace(cfg, beta=1.0)
+    for lo, hi in bounds:
+        ref_planes: list[np.ndarray] = []  # this tensor's plane, once computed
+        for i, (dist_frames, scores) in list(live.items()):
+            try:
+                report = assess(
+                    ref_frames, dist_frames, per_tensor, (lo, hi), workers=workers,
+                    ref_planes=ref_planes,
                 )
-            )
-    return results
+                scores.extend(report.tensor_scores)
+            except (VqaError, OSError, ValueError) as exc:
+                done[i] = _failed(i, entries[i], exc)
+                del live[i]
+    lo, hi = frame_range or (0, len(ref_frames) - 1)
+    for i, (dist_frames, scores) in live.items():
+        try:
+            score = video_score(scores, cfg.beta)
+            psnr_db = psnr(ref_frames[lo : hi + 1], dist_frames[lo : hi + 1])
+            done[i] = EntryResult(index=i, entry=entries[i], score=score, psnr_db=psnr_db)
+        except (VqaError, OSError, ValueError) as exc:
+            done[i] = _failed(i, entries[i], exc)
+    return done
 
 
 def _safe_corr(fn, scores: list[float], labels: list[float]) -> float | None:

@@ -42,6 +42,7 @@ __all__ = [
     "zeta_map",
     "tensor_score",
     "video_score",
+    "tensor_bounds",
     "assess",
 ]
 
@@ -248,6 +249,24 @@ def video_score(tensor_scores: Sequence[float], beta: float = 1.0) -> float:
     return mean**beta
 
 
+def tensor_bounds(
+    ref_frames: Sequence[LumaFrame],
+    dist_frames: Sequence[LumaFrame],
+    tensor_len: int,
+    frame_range: tuple[int, int] | None = None,
+) -> list[tuple[int, int]]:
+    """Inclusive (first, last) frame bounds of the tensors ``assess`` pairs up.
+
+    Raises FrameCountMismatch when the sequences differ in length, then
+    whatever ``group_tensors`` raises for the range.
+    """
+    if len(ref_frames) != len(dist_frames):
+        raise FrameCountMismatch(
+            f"reference has {len(ref_frames)} frames, distorted has {len(dist_frames)}"
+        )
+    return group_tensors(len(ref_frames), tensor_len, frame_range)
+
+
 def assess(
     ref_frames: Sequence[LumaFrame],
     dist_frames: Sequence[LumaFrame],
@@ -255,6 +274,7 @@ def assess(
     frame_range: tuple[int, int] | None = None,
     workers: int | None = None,
     zeta_callback: Callable[[int, np.ndarray], None] | None = None,
+    ref_planes: list[np.ndarray] | None = None,
 ) -> QualityReport:
     """Score a distorted sequence against its reference.
 
@@ -265,14 +285,17 @@ def assess(
     ``zeta_callback`` receives each tensor's index and correlation map (the
     2D array ``zeta_map`` returns) as it is produced. ``workers`` is passed
     to the FFT backend.
+
+    ``ref_planes``, when given, caches the reference's per-tensor planes
+    across calls: a plane it already holds (by tensor index) is reused, and
+    one it lacks is computed and appended. Pass the same list only to calls
+    on the same reference frames, ``frame_range`` and ``config``. The list
+    holds one plane per tensor of the range, so a cache over a whole clip
+    grows with its length; ``score_manifest`` passes one tensor's range at a
+    time and keeps one plane.
     """
     cfg = config or MetricConfig()
-    if len(ref_frames) != len(dist_frames):
-        raise FrameCountMismatch(
-            f"reference has {len(ref_frames)} frames, distorted has {len(dist_frames)}"
-        )
-
-    bounds = group_tensors(len(ref_frames), cfg.tensor_len, frame_range)
+    bounds = tensor_bounds(ref_frames, dist_frames, cfg.tensor_len, frame_range)
     window = gaussian_window(cfg.window_radius, cfg.window_sigma)
 
     timings = {"transform": 0.0, "correlate": 0.0, "pool": 0.0}
@@ -280,7 +303,12 @@ def assess(
     depths: list[int] = []
     for index, (lo, hi) in enumerate(bounds):
         t0 = time.perf_counter()
-        plane_r = tpsd_of_tensor(ref_frames[lo : hi + 1], cfg.center_dc, workers=workers)
+        if ref_planes is not None and index < len(ref_planes):
+            plane_r = ref_planes[index]
+        else:
+            plane_r = tpsd_of_tensor(ref_frames[lo : hi + 1], cfg.center_dc, workers=workers)
+            if ref_planes is not None:
+                ref_planes.append(plane_r)
         plane_d = tpsd_of_tensor(dist_frames[lo : hi + 1], cfg.center_dc, workers=workers)
         t1 = time.perf_counter()
         plane_r, plane_d = normalize_planes(plane_r, plane_d, cfg.plane_normalization)
@@ -288,7 +316,7 @@ def assess(
         if zeta_callback is not None:
             zeta_callback(index, zeta)
         scores.append(tensor_score(zeta))
-        del plane_r, plane_d, zeta  # so no plane outlives its tensor
+        del plane_r, plane_d, zeta  # so no uncached plane outlives its tensor
         t2 = time.perf_counter()
         depths.append(hi - lo + 1)
         timings["transform"] += t1 - t0

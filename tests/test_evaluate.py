@@ -1,4 +1,6 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,14 +8,17 @@ import scipy.stats
 
 from conftest import random_frames
 from oracles import psnr_direct
+import tpsdvqa.metric
 from tpsdvqa.errors import (
     ConstantInput,
     DimensionMismatch,
     EmptyManifest,
     FrameCountMismatch,
     LengthMismatch,
+    VqaError,
 )
 from tpsdvqa.evaluate import (
+    EntryResult,
     ManifestEntry,
     correlation_report,
     load_manifest,
@@ -22,9 +27,9 @@ from tpsdvqa.evaluate import (
     score_manifest,
     spearman,
 )
-from tpsdvqa.metric import MetricConfig
+from tpsdvqa.metric import MetricConfig, assess
 from tpsdvqa.synth import DistortionSpec, apply_distortion, make_moving_texture
-from tpsdvqa.video_io import write_yuv420
+from tpsdvqa.video_io import LumaFrame, read_yuv420_file, write_yuv420
 
 # pearson([1,2,3,4,5], [2,1,4,3,6]) = 10 / sqrt(148), frozen from exact
 # rational arithmetic
@@ -63,6 +68,25 @@ class TestPearson:
             pearson([1, 2, 3], [5, 5, 5])
         with pytest.raises(ConstantInput):
             pearson([1], [2])
+
+    def test_non_finite_sample_is_undefined(self):
+        # inf - inf is NaN, which a clamp into [-1, 1] would turn into -1.0
+        with pytest.raises(ConstantInput):
+            pearson([math.inf, 40.0, 30.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ConstantInput):
+            pearson([1.0, 2.0, 3.0], [1.0, math.nan, 3.0])
+        assert spearman([math.inf, 40.0, 30.0], [1.0, 2.0, 3.0]) == -1.0
+
+    def test_identical_copy_leaves_psnr_pcc_undefined(self):
+        # a bit-identical entry scores psnr_db = +inf
+        results = [
+            EntryResult(i, ManifestEntry("r.yuv", f"d{i}.yuv", 4, 4, float(i), "x"),
+                        score=1.0 - i / 10, psnr_db=db)
+            for i, db in enumerate((math.inf, 40.0, 30.0, 20.0))
+        ]
+        report = correlation_report(results, "psnr")
+        assert report.pcc is None and report.per_tag["x"].pcc is None
+        assert report.scc == -1.0
 
 
 class TestSpearman:
@@ -205,9 +229,14 @@ class TestManifest:
             ("r.yuv,d.yuv,32,32,1.0,x,x,", "invalid literal for int"),
             ("r.yuv,d.yuv,32,32,nan,x,,", "dmos must be finite"),
             ("r.yuv,r.yuv,32,32,1.0,x,,", "entry paths must be distinct"),
+            ("r.yuv,./r.yuv,32,32,1.0,x,,", "entry paths must be distinct"),
+            ("sub/../r.yuv,r.yuv,32,32,1.0,x,,", "entry paths must be distinct"),
         ],
     )
     def test_bad_value_rejected_with_its_line(self, tmp_path, row, message):
+        # paths are compared by the file they open, so that file must exist
+        (tmp_path / "r.yuv").write_bytes(b"")
+        (tmp_path / "sub").mkdir()
         path = tmp_path / "bad.csv"
         path.write_text(
             "ref_path,dist_path,width,height,dmos,tag,frame_start,frame_end\n"
@@ -216,9 +245,26 @@ class TestManifest:
         with pytest.raises(ValueError, match=f"^manifest line 3: {message}"):
             load_manifest(path)
 
+    def test_paths_keep_their_spelling(self, tmp_path):
+        # paths are compared by the file they name, never rewritten
+        path = tmp_path / "set.csv"
+        path.write_text(
+            "ref_path,dist_path,width,height,dmos,tag\n"
+            "./ref.yuv,sub/../d1.yuv,4,4,2.0,x\n"
+        )
+        (entry,) = load_manifest(path)
+        assert entry.ref_path == os.path.join(tmp_path, "./ref.yuv")
+        assert entry.dist_path == os.path.join(tmp_path, "sub/../d1.yuv")
+
     def test_identical_paths_rejected(self):
         with pytest.raises(ValueError):
             ManifestEntry("same.yuv", "same.yuv", 4, 4, 1.0, "x")
+
+    def test_spellings_of_a_missing_file_are_compared_as_text(self, tmp_path):
+        # the OS cannot open sub/../r.yuv without sub, whatever r.yuv is
+        (tmp_path / "r.yuv").write_bytes(b"")
+        broken = os.path.join(tmp_path, "sub/../r.yuv")
+        ManifestEntry(str(tmp_path / "r.yuv"), broken, 4, 4, 1.0, "x")
 
     def test_non_finite_dmos_rejected(self):
         with pytest.raises(ValueError):
@@ -373,3 +419,187 @@ class TestEvaluateDataset:
         assert report.n == 1
         assert report.pcc is None and report.scc is None
         assert report.per_tag["only"].pcc is None
+
+
+def _per_entry(index, entry, cfg):
+    """One entry scored on its own, as score_manifest did before references were shared."""
+    try:
+        ref = read_yuv420_file(entry.ref_path, entry.width, entry.height)
+        dist = read_yuv420_file(entry.dist_path, entry.width, entry.height)
+        frame_range = entry.frame_range(len(ref))
+        report = assess(ref, dist, cfg, frame_range)
+        lo, hi = frame_range or (0, len(ref) - 1)
+        db = psnr(ref[lo : hi + 1], dist[lo : hi + 1])
+        return EntryResult(index=index, entry=entry, score=report.video_score, psnr_db=db)
+    except (VqaError, OSError, ValueError) as exc:
+        return EntryResult(
+            index=index, entry=entry, error=type(exc).__name__, error_message=str(exc)
+        )
+
+
+@pytest.fixture
+def count_planes(monkeypatch):
+    """Count the planes assess computes, through the name it looks the transform up by."""
+    calls = []
+    real = tpsdvqa.metric.tpsd_of_tensor
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tpsdvqa.metric, "tpsd_of_tensor", counting)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def shared_refs(tmp_path_factory):
+    """Two 64x48x8 references, each with three noise levels and a 6-frame clip."""
+    base = tmp_path_factory.mktemp("shared")
+    clips = {}
+    for r in "AB":
+        ref = make_moving_texture(64, 48, 8, seed=ord(r))
+        write_yuv420(ref, base / f"{r}.yuv")
+        clips[r] = str(base / f"{r}.yuv")
+        for k, level in enumerate((4.0, 12.0, 36.0)):
+            dist = apply_distortion(ref, DistortionSpec("gaussian-noise", level, seed=k))
+            write_yuv420(dist, base / f"{r}{k}.yuv")
+            clips[f"{r}{k}"] = str(base / f"{r}{k}.yuv")
+        write_yuv420(ref[:6], base / f"{r}short.yuv")
+        clips[f"{r}short"] = str(base / f"{r}short.yuv")
+    clips["missing"] = str(base / "missing.yuv")
+    return clips
+
+
+class TestReferenceReuse:
+    CFG = MetricConfig(tensor_len=4)  # 8 frames: 2 tensors
+
+    def entries(self, clips, *pairs, **frames):
+        return tuple(
+            ManifestEntry(clips[r], clips[d], 64, 48, dmos=float(i), tag="noise", **frames)
+            for i, (r, d) in enumerate(pairs)
+        )
+
+    def test_each_reference_is_transformed_once_per_group(self, shared_refs, count_planes):
+        pairs = [("A", "A0"), ("B", "B0"), ("A", "A1"), ("B", "B1"), ("A", "A2"), ("B", "B2")]
+        results = score_manifest(self.entries(shared_refs, *pairs), self.CFG)
+        assert all(r.error is None for r in results)
+        assert len(count_planes) == (2 + 6) * 2
+
+    def test_results_match_per_entry_assess_in_manifest_order(self, shared_refs):
+        pairs = [("A", "A0"), ("B", "B0"), ("A", "A1"), ("B", "B2"), ("A", "A2"), ("B", "B1")]
+        entries = self.entries(shared_refs, *pairs)
+        results = score_manifest(entries, self.CFG)
+        assert [r.index for r in results] == list(range(6))
+        assert results == [_per_entry(i, e, self.CFG) for i, e in enumerate(entries)]
+
+    def test_missing_reference_fails_its_group_alone(self, shared_refs):
+        pairs = [("missing", "A0"), ("B", "B0"), ("missing", "A1")]
+        entries = self.entries(shared_refs, *pairs)
+        results = score_manifest(entries, self.CFG)
+        assert [r.error for r in results] == ["FileNotFoundError", None, "FileNotFoundError"]
+        assert results == [_per_entry(i, e, self.CFG) for i, e in enumerate(entries)]
+
+    def test_short_distorted_clip_fails_alone(self, shared_refs, count_planes):
+        # the failing entry comes first, so the next one computes the planes
+        pairs = [("A", "Ashort"), ("A", "A0"), ("A", "A1")]
+        entries = self.entries(shared_refs, *pairs)
+        results = score_manifest(entries, self.CFG)
+        assert [r.error for r in results] == ["FrameCountMismatch", None, None]
+        assert len(count_planes) == (1 + 2) * 2
+        assert results == [_per_entry(i, e, self.CFG) for i, e in enumerate(entries)]
+
+    def test_frame_ranges_on_one_reference_group_apart(self, shared_refs, count_planes):
+        entries = (
+            *self.entries(shared_refs, ("A", "A0"), ("A", "A1")),
+            *self.entries(shared_refs, ("A", "A0"), ("A", "A2"), frame_start=2, frame_end=7),
+        )
+        results = score_manifest(entries, self.CFG)
+        assert len(count_planes) == (1 + 2) * 2 + (1 + 2) * 2
+        assert results == [_per_entry(i, e, self.CFG) for i, e in enumerate(entries)]
+        assert results[0].score != results[2].score
+
+    def test_two_spellings_of_a_reference_share_its_planes(self, shared_refs, count_planes):
+        spelled = shared_refs["A"].replace("/A.yuv", "/./A.yuv")
+        entries = (
+            ManifestEntry(shared_refs["A"], shared_refs["A0"], 64, 48, 1.0, "noise"),
+            ManifestEntry(spelled, shared_refs["A1"], 64, 48, 2.0, "noise"),
+        )
+        results = score_manifest(entries, self.CFG)
+        assert len(count_planes) == (1 + 2) * 2
+        assert results[1].entry.ref_path == spelled
+        assert results == [_per_entry(i, e, self.CFG) for i, e in enumerate(entries)]
+
+    def test_reference_through_a_missing_directory_fails_alone(self, shared_refs):
+        broken = shared_refs["A"].replace("/A.yuv", "/absent/../A.yuv")
+        entries = (
+            ManifestEntry(shared_refs["A"], shared_refs["A0"], 64, 48, 1.0, "noise"),
+            ManifestEntry(broken, shared_refs["A1"], 64, 48, 2.0, "noise"),
+        )
+        results = score_manifest(entries, self.CFG)
+        assert [r.error for r in results] == [None, "FileNotFoundError"]
+        assert results == [_per_entry(i, e, self.CFG) for i, e in enumerate(entries)]
+
+    def test_negative_tensor_score_pools_with_the_real_beta(self, shared_refs, monkeypatch):
+        # per-tensor scores are pooled once: one negative tensor must not
+        # raise NegativeBase when the mean is positive
+        fake = iter([-0.5, 0.75])
+        monkeypatch.setattr(tpsdvqa.metric, "tensor_score", lambda zeta: next(fake))
+        cfg = MetricConfig(tensor_len=4, beta=0.5)
+        (result,) = score_manifest(self.entries(shared_refs, ("A", "A0")), cfg)
+        assert result.error is None
+        assert result.score == 0.125**0.5
+
+    def test_memory_does_not_grow_with_clip_length(self, tmp_path):
+        # one reference plane is held at a time, so a group of two 120-frame
+        # entries peaks like a group of two 30-frame ones (4 tensors vs 1)
+        rng = np.random.default_rng(5)
+        peaks = []
+        for count in (30, 30, 120):  # the first run warms up
+            entries = []
+            paths = [tmp_path / f"{name}{count}.yuv" for name in ("r", "d0", "d1")]
+            for path in paths:
+                write_yuv420(
+                    (LumaFrame(rng.integers(0, 256, size=(96, 128), dtype=np.uint8))
+                     for _ in range(count)),
+                    path,
+                )
+            entries = [
+                ManifestEntry(str(paths[0]), str(d), 128, 96, dmos=float(k), tag="noise")
+                for k, d in enumerate(paths[1:])
+            ]
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                results = score_manifest(entries)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            assert all(r.error is None for r in results)
+        assert peaks[2] <= 1.1 * peaks[1], peaks
+
+    def test_memory_holds_one_reference_at_a_time(self, tmp_path):
+        # 128x96 planes of 98 KB, 2 tensors each: a cache that kept every
+        # group's planes would add 6 planes to the 4-reference peak
+        cfg = MetricConfig(tensor_len=4)
+        entries = []
+        for r in range(4):
+            ref = make_moving_texture(128, 96, 8, seed=r)
+            write_yuv420(ref, tmp_path / f"r{r}.yuv")
+            for k in range(2):
+                dist = apply_distortion(ref, DistortionSpec("gaussian-noise", 8.0, seed=k))
+                write_yuv420(dist, tmp_path / f"r{r}d{k}.yuv")
+                entries.append(ManifestEntry(
+                    str(tmp_path / f"r{r}.yuv"), str(tmp_path / f"r{r}d{k}.yuv"),
+                    128, 96, dmos=float(k), tag="noise",
+                ))
+        peaks = []
+        for subset in (entries[:2], entries[:2], entries):  # the first run warms up
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                results = score_manifest(subset, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            assert all(r.error is None for r in results)
+        assert peaks[2] <= 1.1 * peaks[1], peaks
