@@ -29,7 +29,6 @@ from .evaluate import (
     spearman,
 )
 from .metric import (
-    GaussianWindow,
     MetricConfig,
     QualityReport,
     assess,

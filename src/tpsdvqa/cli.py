@@ -14,6 +14,7 @@ one-line ``error: <Class>: <detail>`` diagnostic naming the error class.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -21,6 +22,7 @@ import time
 from typing import Sequence, TextIO
 
 import numpy as np
+import scipy.fft
 
 from .errors import VqaError
 from .evaluate import correlation_report, load_manifest, score_manifest
@@ -117,7 +119,6 @@ def _cmd_score(args: argparse.Namespace) -> int:
             dist_frames,
             cfg,
             frame_range=args.frames,
-            workers=args.threads,
             zeta_callback=dump_zeta if args.dump_zeta else None,
         )
 
@@ -180,7 +181,7 @@ _ORIENTATION_NOTE = (
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     entries = load_manifest(args.manifest)
-    results = score_manifest(entries, cfg, workers=args.threads)
+    results = score_manifest(entries, cfg)
     metric_report = correlation_report(results, "tpsd")
     psnr_report = correlation_report(results, "psnr")
 
@@ -260,7 +261,7 @@ def _cmd_dump_tpsd(args: argparse.Namespace) -> int:
     frames = read_yuv420_file(args.ref, args.width, args.height)
     bounds = group_tensors(len(frames), args.tensor_frames, args.frames)
     for index, (lo, hi) in enumerate(bounds):
-        plane = tpsd_of_tensor(frames[lo : hi + 1], args.center_dc, workers=args.threads)
+        plane = tpsd_of_tensor(frames[lo : hi + 1], args.center_dc)
         path = f"{args.out}.tensor{index:03d}.grid"
         write_grid(plane, path)
         _emit(sys.stdout, {
@@ -334,8 +335,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    threads = getattr(args, "threads", None)
     try:
-        return args.func(args)
+        # scipy.fft's default worker count, which every rfft2 call reads
+        with contextlib.nullcontext() if threads is None else scipy.fft.set_workers(threads):
+            return args.func(args)
     except (VqaError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

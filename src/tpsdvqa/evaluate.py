@@ -10,7 +10,8 @@ well-behaved metric produces strongly *negative* raw correlations here.
 Reports carry the raw signed values; display layers may show magnitudes as
 long as they note the sign.
 
-Manifest file format: UTF-8 comma-separated text with a required header row
+Manifest file format: UTF-8 comma-separated text, with or without a leading
+byte-order mark (as spreadsheets write "CSV UTF-8"), with a required header row
 ``ref_path,dist_path,width,height,dmos,tag,frame_start,frame_end`` (the two
 frame columns are optional and may be blank per row; indices are inclusive
 and 0-based). Relative paths resolve against the manifest's directory.
@@ -137,7 +138,7 @@ def load_manifest(path: str | os.PathLike) -> tuple[ManifestEntry, ...]:
     """
     base = os.path.dirname(os.path.abspath(path))
     entries = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         missing = [c for c in _REQUIRED_COLUMNS if c not in header]
@@ -249,7 +250,6 @@ def _failed(index: int, entry: ManifestEntry, exc: Exception) -> EntryResult:
 def score_manifest(
     entries: Sequence[ManifestEntry],
     config: MetricConfig | None = None,
-    workers: int | None = None,
 ) -> list[EntryResult]:
     """Score every manifest entry, collecting per-entry failures instead of aborting.
 
@@ -272,7 +272,7 @@ def score_manifest(
         groups.setdefault(key, []).append(i)
     results: dict[int, EntryResult] = {}
     for indices in groups.values():
-        results.update(_score_group(entries, indices, cfg, workers))
+        results.update(_score_group(entries, indices, cfg))
     return [results[i] for i in range(len(entries))]
 
 
@@ -280,7 +280,6 @@ def _score_group(
     entries: Sequence[ManifestEntry],
     indices: list[int],
     cfg: MetricConfig,
-    workers: int | None,
 ) -> dict[int, EntryResult]:
     first = entries[indices[0]]
     try:
@@ -307,8 +306,7 @@ def _score_group(
         for i, (dist_frames, scores) in list(live.items()):
             try:
                 report = assess(
-                    ref_frames, dist_frames, per_tensor, (lo, hi), workers=workers,
-                    ref_planes=ref_planes,
+                    ref_frames, dist_frames, per_tensor, (lo, hi), ref_planes=ref_planes
                 )
                 scores.extend(report.tensor_scores)
             except (VqaError, OSError, ValueError) as exc:

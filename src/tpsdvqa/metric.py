@@ -19,6 +19,7 @@ for experimentation.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -33,7 +34,6 @@ from .video_io import LumaFrame, group_tensors
 __all__ = [
     "NORMALIZATION_MODES",
     "PADDING_MODES",
-    "GaussianWindow",
     "MetricConfig",
     "QualityReport",
     "gaussian_window",
@@ -50,36 +50,23 @@ NORMALIZATION_MODES = ("ref-max", "none", "log10")
 PADDING_MODES = ("mirror", "valid")
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianWindow:
-    """Normalized circular-symmetric Gaussian weights on a (2d+1) x (2d+1) grid.
+def _require_finite_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
-    Built by :func:`gaussian_window`; ``weights`` is ``outer(kernel1d, kernel1d)``.
+
+def gaussian_window(radius: int = 5, sigma: float = 1.5) -> np.ndarray:
+    """The normalized 1D Gaussian kernel of length ``2*radius + 1``.
+
+    The circular 2D window is its outer product with itself, so every
+    smoothing pass correlates the plane with this kernel along each axis.
     """
-
-    kernel1d: np.ndarray
-    radius: int
-    sigma: float
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.outer(self.kernel1d, self.kernel1d)
-
-    @property
-    def size(self) -> int:
-        return 2 * self.radius + 1
-
-
-def gaussian_window(radius: int = 5, sigma: float = 1.5) -> GaussianWindow:
-    """Build the circular Gaussian weighting window, normalized to sum 1."""
     if radius < 1:
         raise ValueError(f"window radius must be >= 1, got {radius}")
-    if sigma <= 0:
-        raise ValueError(f"window sigma must be positive, got {sigma}")
+    _require_finite_positive("window sigma", sigma)
     u = np.arange(-radius, radius + 1, dtype=np.float64)
     g = np.exp(-(u * u) / (2.0 * sigma * sigma))
-    g /= g.sum()
-    return GaussianWindow(kernel1d=g, radius=radius, sigma=sigma)
+    return g / g.sum()
 
 
 @dataclass(frozen=True)
@@ -101,8 +88,7 @@ class MetricConfig:
         if self.window_radius < 1:
             raise ValueError(f"window_radius must be >= 1, got {self.window_radius}")
         for name in ("window_sigma", "stability_c", "beta"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            _require_finite_positive(name, getattr(self, name))
         if self.plane_normalization not in NORMALIZATION_MODES:
             raise ValueError(
                 f"plane_normalization must be one of {NORMALIZATION_MODES}, "
@@ -154,20 +140,25 @@ def normalize_planes(
     return np.log10(1.0 + ref), np.log10(1.0 + dist)
 
 
-def _check_plane_size(shape: tuple[int, ...], window: GaussianWindow) -> None:
-    if shape[0] < window.size or shape[1] < window.size:
+def _check_plane_size(shape: tuple[int, ...], window: np.ndarray) -> None:
+    """The window must be a 1D kernel of odd length >= 3 that fits the plane."""
+    if np.ndim(window) != 1 or len(window) < 3 or len(window) % 2 == 0:
+        raise ValueError(
+            f"window must be a 1D kernel of odd length >= 3, got shape {np.shape(window)}"
+        )
+    size = len(window)
+    if shape[0] < size or shape[1] < size:
         raise PlaneTooSmall(
-            f"plane {shape[0]}x{shape[1]} is smaller than the "
-            f"{window.size}x{window.size} window"
+            f"plane {shape[0]}x{shape[1]} is smaller than the {size}x{size} window"
         )
 
 
-def _smooth(values: np.ndarray, window: GaussianWindow, padding: str) -> np.ndarray:
+def _smooth(values: np.ndarray, window: np.ndarray, padding: str) -> np.ndarray:
     """Weighted local mean of ``values``: mirror keeps the full size, valid crops."""
-    out = correlate1d(values, window.kernel1d, axis=0, mode="reflect")
-    out = correlate1d(out, window.kernel1d, axis=1, mode="reflect")
+    out = correlate1d(values, window, axis=0, mode="reflect")
+    out = correlate1d(out, window, axis=1, mode="reflect")
     if padding == "valid":
-        d = window.radius
+        d = len(window) // 2
         out = out[d:-d, d:-d]
     elif padding != "mirror":
         raise ValueError(f"padding must be one of {PADDING_MODES}, got {padding!r}")
@@ -177,15 +168,15 @@ def _smooth(values: np.ndarray, window: GaussianWindow, padding: str) -> np.ndar
 def local_moments(
     x_plane: np.ndarray,
     y_plane: np.ndarray,
-    window: GaussianWindow,
+    window: np.ndarray,
     padding: str = "mirror",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Per-pixel Gaussian-weighted moments of two planes.
 
-    Returns ``(mu_x, mu_y, sigma_x, sigma_y, cov)`` from five smoothing
-    passes. Variances use the identity var = E[x^2] - E[x]^2; tiny negative
-    results from float cancellation are clamped to zero before the square
-    root.
+    ``window`` is the 1D kernel from :func:`gaussian_window`. Returns
+    ``(mu_x, mu_y, sigma_x, sigma_y, cov)`` from five smoothing passes.
+    Variances use the identity var = E[x^2] - E[x]^2; tiny negative results
+    from float cancellation are clamped to zero before the square root.
     """
     x = _plane_values(x_plane)
     y = _plane_values(y_plane)
@@ -205,7 +196,7 @@ def local_moments(
 def zeta_map(
     ref: np.ndarray,
     dist: np.ndarray,
-    window: GaussianWindow,
+    window: np.ndarray,
     c: float = 4.5e-4,
     padding: str = "mirror",
 ) -> np.ndarray:
@@ -216,8 +207,7 @@ def zeta_map(
     Planes must agree in shape and DC placement and are expected to be
     already normalized.
     """
-    if c <= 0:
-        raise ValueError(f"stability constant must be positive, got {c}")
+    _require_finite_positive("stability constant", c)
     _, _, sigma_x, sigma_y, cov = local_moments(ref, dist, window, padding)
     return (cov + c) / (sigma_x * sigma_y + c)
 
@@ -226,9 +216,13 @@ def tensor_score(zeta: np.ndarray) -> float:
     """Arithmetic mean of the correlation map.
 
     The exact mean lies in [-1, 1]; the float result is clamped into that
-    interval so rounding cannot push a score past the bound.
+    interval so rounding cannot push a score past the bound. A non-finite
+    mean raises ValueError instead of being clamped to a bound.
     """
-    return float(min(1.0, max(-1.0, np.asarray(zeta).mean())))
+    mean = float(np.asarray(zeta).mean())
+    if not math.isfinite(mean):
+        raise ValueError(f"correlation map mean is not finite: {mean}")
+    return min(1.0, max(-1.0, mean))
 
 
 def video_score(tensor_scores: Sequence[float], beta: float = 1.0) -> float:
@@ -239,8 +233,7 @@ def video_score(tensor_scores: Sequence[float], beta: float = 1.0) -> float:
     """
     if len(tensor_scores) == 0:
         raise ValueError("need at least one tensor score")
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    _require_finite_positive("beta", beta)
     mean = float(np.mean(tensor_scores))
     if mean < 0 and not float(beta).is_integer():
         raise NegativeBase(
@@ -272,7 +265,6 @@ def assess(
     dist_frames: Sequence[LumaFrame],
     config: MetricConfig | None = None,
     frame_range: tuple[int, int] | None = None,
-    workers: int | None = None,
     zeta_callback: Callable[[int, np.ndarray], None] | None = None,
     ref_planes: list[np.ndarray] | None = None,
 ) -> QualityReport:
@@ -283,8 +275,7 @@ def assess(
     paired strictly by position (temporal alignment is assumed). Each tensor
     is a slice of the input, so a ``FileFrames`` input is read frame by frame.
     ``zeta_callback`` receives each tensor's index and correlation map (the
-    2D array ``zeta_map`` returns) as it is produced. ``workers`` is passed
-    to the FFT backend.
+    2D array ``zeta_map`` returns) as it is produced.
 
     ``ref_planes``, when given, caches the reference's per-tensor planes
     across calls: a plane it already holds (by tensor index) is reused, and
@@ -306,10 +297,10 @@ def assess(
         if ref_planes is not None and index < len(ref_planes):
             plane_r = ref_planes[index]
         else:
-            plane_r = tpsd_of_tensor(ref_frames[lo : hi + 1], cfg.center_dc, workers=workers)
+            plane_r = tpsd_of_tensor(ref_frames[lo : hi + 1], cfg.center_dc)
             if ref_planes is not None:
                 ref_planes.append(plane_r)
-        plane_d = tpsd_of_tensor(dist_frames[lo : hi + 1], cfg.center_dc, workers=workers)
+        plane_d = tpsd_of_tensor(dist_frames[lo : hi + 1], cfg.center_dc)
         t1 = time.perf_counter()
         plane_r, plane_d = normalize_planes(plane_r, plane_d, cfg.plane_normalization)
         zeta = zeta_map(plane_r, plane_d, window, cfg.stability_c, cfg.padding)

@@ -54,7 +54,6 @@ def _frame_arrays(tensor: Sequence[LumaFrame] | np.ndarray) -> Iterator[np.ndarr
 def tpsd_of_tensor(
     tensor: Sequence[LumaFrame] | np.ndarray,
     center_dc: bool = True,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Time-aggregated PSD plane straight from a tensor, one frame at a time.
 
@@ -77,7 +76,7 @@ def tpsd_of_tensor(
         elif pixels.shape != frame.shape:
             raise ValueError(f"tensor frames disagree on shape: {pixels.shape} vs {frame.shape}")
         np.copyto(frame, pixels)
-        spec = _fft.rfft2(frame, workers=workers)
+        spec = _fft.rfft2(frame)
         s_half += spec.real * spec.real
         s_half += spec.imag * spec.imag
     s_half /= m * n

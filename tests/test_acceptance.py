@@ -197,7 +197,7 @@ def test_criterion_07_local_stats_oracle():
         for _ in range(3):
             x = rng.random((32, 32))
             y = rng.random((32, 32))
-            want = local_moments_direct(x, y, window.weights, padding)
+            want = local_moments_direct(x, y, np.outer(window, window), padding)
             got = local_moments(x, y, window, padding)
             for g, e in zip(got, want):
                 worst = max(worst, float(np.max(np.abs(g - e))))

@@ -6,7 +6,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 
+import tpsdvqa.cli
+import tpsdvqa.metric
 from tpsdvqa.cli import main
 from tpsdvqa.evaluate import correlation_report, load_manifest, score_manifest
 from tpsdvqa.metric import MetricConfig, assess
@@ -236,6 +239,16 @@ class TestScore:
         assert code == 0
         assert sorted(opened) == sorted([str(ref_path), str(dist_path)] * 3)
 
+    def test_non_finite_setting_diagnostic(self, capsys, clip_pair):
+        ref_path, dist_path = clip_pair
+        code, out, err = run_cli(
+            capsys,
+            ["score", "--ref", str(ref_path), "--dist", str(dist_path), "--beta", "nan"] + SMALL,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: ValueError: beta must be finite and positive, got nan\n"
+
     def test_missing_file_diagnostic(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -420,6 +433,60 @@ class TestEvaluate:
         )
         assert code == 1
         assert err.startswith("error: FileNotFoundError:")
+
+
+class TestThreads:
+    """``--threads`` sets the FFT's worker count for the whole command."""
+
+    def _workers_seen(self, capsys, monkeypatch, module, argv):
+        seen = []
+        real = tpsd_of_tensor
+
+        def recording(*args, **kwargs):
+            seen.append(scipy.fft.get_workers())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "tpsd_of_tensor", recording)
+        code, _, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert scipy.fft.get_workers() == 1  # restored after the command
+        return set(seen)
+
+    @pytest.mark.parametrize("flag, workers", [([], 1), (["--threads", "2"], 2)])
+    def test_score_and_evaluate(self, capsys, monkeypatch, clip_pair, manifest, flag, workers):
+        ref_path, dist_path = clip_pair
+        score = ["score", "--ref", str(ref_path), "--dist", str(dist_path)] + SMALL + flag
+        evaluate = ["evaluate", "--manifest", str(manifest), "--tensor-frames", "4"] + flag
+        for argv in (score, evaluate):
+            assert self._workers_seen(capsys, monkeypatch, tpsdvqa.metric, argv) == {workers}
+
+    @pytest.mark.parametrize("flag, workers", [([], 1), (["--threads", "2"], 2)])
+    def test_dump_tpsd(self, capsys, monkeypatch, clip_pair, tmp_path, flag, workers):
+        argv = ["dump-tpsd", "--ref", str(clip_pair[0]), "--width", "32", "--height", "32",
+                "--tensor-frames", "4", "--out", str(tmp_path / "plane")] + flag
+        assert self._workers_seen(capsys, monkeypatch, tpsdvqa.cli, argv) == {workers}
+
+    @pytest.mark.parametrize("command", ["score", "evaluate"])
+    def test_zero_fails_once_before_any_file_is_read(
+        self, capsys, monkeypatch, clip_pair, manifest, command
+    ):
+        argv = {
+            "score": ["score", "--ref", str(clip_pair[0]), "--dist", str(clip_pair[1])] + SMALL,
+            "evaluate": ["evaluate", "--manifest", str(manifest)],
+        }[command]
+        opened = []
+        real_open = builtins.open
+
+        def recording_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", recording_open)
+        code, out, err = run_cli(capsys, argv + ["--threads", "0"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: ValueError: workers must not be zero\n"
+        assert opened == []
 
 
 class TestEntryPoint:

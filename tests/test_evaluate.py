@@ -187,6 +187,17 @@ class TestManifest:
         assert second.dmos == 2.5
         assert second.tag == "freeze"
 
+    def test_header_after_a_byte_order_mark(self, tmp_path):
+        # spreadsheets save "CSV UTF-8" with a leading BOM
+        path = tmp_path / "excel.csv"
+        path.write_text(
+            "ref_path,dist_path,width,height,dmos,tag\nref.yuv,dist.yuv,4,4,1.5,blur\n",
+            encoding="utf-8-sig",
+        )
+        (entry,) = load_manifest(path)
+        assert entry.ref_path == str(tmp_path / "ref.yuv")
+        assert entry.tag == "blur"
+
     def test_partial_frame_columns_resolve_against_video(self):
         entry = ManifestEntry("a.yuv", "b.yuv", 4, 4, 1.0, "x", frame_start=90)
         assert entry.frame_range(300) == (90, 299)

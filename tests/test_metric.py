@@ -31,35 +31,34 @@ CENTER_WEIGHT_11X11_S15 = 0.07076223776394698
 
 class TestGaussianWindow:
     def test_default_window_center_weight(self):
-        w = gaussian_window(5, 1.5)
-        assert w.weights.shape == (11, 11)
-        center = w.weights[5, 5]
+        k = gaussian_window(5, 1.5)
+        w = np.outer(k, k)
+        assert w.shape == (11, 11)
+        center = w[5, 5]
         assert center == pytest.approx(CENTER_WEIGHT_11X11_S15, abs=1e-15)
-        assert center == np.max(w.weights)
+        assert center == np.max(w)
 
     def test_weights_sum_to_one(self):
         for radius, sigma in [(1, 0.5), (5, 1.5), (7, 3.0)]:
             w = gaussian_window(radius, sigma)
-            assert abs(w.weights.sum() - 1.0) < 1e-12
+            assert abs(np.outer(w, w).sum() - 1.0) < 1e-12
 
     def test_circular_symmetry(self):
-        w = gaussian_window(5, 1.5).weights
+        k = gaussian_window(5, 1.5)
+        w = np.outer(k, k)
         assert np.array_equal(w, w.T)
         assert np.array_equal(w, w[::-1, ::-1])
 
     def test_flat_limit(self):
         w = gaussian_window(1, 1e6)
-        assert np.allclose(w.weights, 1.0 / 9.0, atol=1e-9)
-
-    def test_separable_factorization(self):
-        w = gaussian_window(4, 2.0)
-        assert np.array_equal(np.outer(w.kernel1d, w.kernel1d), w.weights)
+        assert np.allclose(np.outer(w, w), 1.0 / 9.0, atol=1e-9)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             gaussian_window(0, 1.5)
-        with pytest.raises(ValueError):
-            gaussian_window(5, 0.0)
+        for sigma in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                gaussian_window(5, sigma)
 
 
 class TestLocalStats:
@@ -83,7 +82,7 @@ class TestLocalStats:
         w = gaussian_window(5, 1.5)
         x = rng.random((16, 16))
         y = rng.random((16, 16))
-        want = local_moments_direct(x, y, w.weights, padding)
+        want = local_moments_direct(x, y, np.outer(w, w), padding)
         got = local_moments(x, y, w, padding)
         for g, e in zip(got, want):
             assert np.max(np.abs(g - e)) < 1e-12
@@ -97,6 +96,19 @@ class TestLocalStats:
         w = gaussian_window(5, 1.5)
         with pytest.raises(PlaneTooSmall):
             local_moments(np.ones((10, 16)), np.ones((10, 16)), w)
+
+    @pytest.mark.parametrize(
+        "window",
+        [
+            np.outer(gaussian_window(2, 1.0), gaussian_window(2, 1.0)),
+            gaussian_window(2, 1.0)[:-1],
+            np.ones(1),
+        ],
+    )
+    def test_rejects_a_window_that_is_not_an_odd_1d_kernel(self, window):
+        plane = np.ones((16, 16))
+        with pytest.raises(ValueError, match="1D kernel of odd length"):
+            local_moments(plane, plane, window)
 
 
 class TestZetaMap:
@@ -118,7 +130,7 @@ class TestZetaMap:
         dist = ref.copy()
         dist[10:20, 10:20] *= -1.0
         z = zeta_map(ref, dist, w)
-        oracle = zeta_direct(ref, dist, w.weights, 4.5e-4, "mirror")
+        oracle = zeta_direct(ref, dist, np.outer(w, w), 4.5e-4, "mirror")
         assert np.max(np.abs(z - oracle)) < 1e-12
         assert z[12:18, 12:18].mean() < 0.0
         # windows that never touch the perturbed block stay at 1
@@ -138,6 +150,12 @@ class TestZetaMap:
         w = gaussian_window(2, 1.0)
         with pytest.raises(DimensionMismatch):
             zeta_map(np.ones((12, 12)), np.ones((12, 14)), w)
+
+    @pytest.mark.parametrize("c", [0.0, np.nan, np.inf])
+    def test_rejects_a_stabilizer_that_is_not_finite_and_positive(self, c):
+        plane = np.ones((16, 16))
+        with pytest.raises(ValueError, match="stability constant"):
+            zeta_map(plane, plane, gaussian_window(2, 1.0), c)
 
     def test_valid_padding_shrinks_map(self, rng):
         w = gaussian_window(3, 1.5)
@@ -191,6 +209,12 @@ class TestPooling:
         values = np.full((4, 4), 1.0 + 1e-13)
         assert tensor_score(values) == 1.0
 
+    def test_non_finite_map_is_rejected_not_clamped(self):
+        values = np.ones((4, 4))
+        values[1, 2] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            tensor_score(values)
+
     def test_video_score_trivial_cases(self):
         assert video_score([1.0, 1.0, 1.0], beta=2.0) == 1.0
         assert video_score([0.5, 0.7], beta=1.0) == pytest.approx(0.6, abs=1e-12)
@@ -206,8 +230,9 @@ class TestPooling:
     def test_video_score_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError):
             video_score([], beta=1.0)
-        with pytest.raises(ValueError):
-            video_score([0.5], beta=0.0)
+        for beta in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                video_score([0.5], beta=beta)
 
 
 class TestAssess:
@@ -399,8 +424,14 @@ class TestMetricConfig:
             {"tensor_len": 1},
             {"window_radius": 0},
             {"window_sigma": 0.0},
+            {"window_sigma": float("nan")},
+            {"window_sigma": float("inf")},
             {"stability_c": -1.0},
+            {"stability_c": float("nan")},
+            {"stability_c": float("inf")},
             {"beta": 0.0},
+            {"beta": float("nan")},
+            {"beta": float("inf")},
             {"plane_normalization": "max"},
             {"padding": "wrap"},
         ],
