@@ -43,10 +43,8 @@ from .synth import DistortionSpec, apply_distortion, make_edge_sequence
 from .video_io import (
     FileFrames,
     LumaFrame,
-    VideoDescriptor,
     group_tensors,
     read_yuv420_file,
-    read_yuv420_luma,
     write_yuv420,
 )
 

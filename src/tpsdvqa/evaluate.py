@@ -186,6 +186,10 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise ConstantInput(f"need at least 2 samples, got {xa.size}")
     if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
         raise ConstantInput("correlation is undefined for a non-finite sample")
+    # scaling each side by a power of two is exact and leaves r unchanged,
+    # but keeps the dot products clear of overflow and underflow
+    xa = np.ldexp(xa, -np.frexp(np.abs(xa).max())[1])
+    ya = np.ldexp(ya, -np.frexp(np.abs(ya).max())[1])
     dx = xa - xa.mean()
     dy = ya - ya.mean()
     sx2 = float(np.dot(dx, dx))

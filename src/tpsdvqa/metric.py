@@ -140,13 +140,8 @@ def normalize_planes(
     return np.log10(1.0 + ref), np.log10(1.0 + dist)
 
 
-def _check_plane_size(shape: tuple[int, ...], window: np.ndarray) -> None:
-    """The window must be a 1D kernel of odd length >= 3 that fits the plane."""
-    if np.ndim(window) != 1 or len(window) < 3 or len(window) % 2 == 0:
-        raise ValueError(
-            f"window must be a 1D kernel of odd length >= 3, got shape {np.shape(window)}"
-        )
-    size = len(window)
+def _check_plane_size(shape: tuple[int, ...], size: int) -> None:
+    """A ``size`` x ``size`` window must fit the plane."""
     if shape[0] < size or shape[1] < size:
         raise PlaneTooSmall(
             f"plane {shape[0]}x{shape[1]} is smaller than the {size}x{size} window"
@@ -182,7 +177,11 @@ def local_moments(
     y = _plane_values(y_plane)
     if x.shape != y.shape:
         raise DimensionMismatch(f"plane shapes differ: {x.shape} vs {y.shape}")
-    _check_plane_size(x.shape, window)
+    if np.ndim(window) != 1 or len(window) < 3 or len(window) % 2 == 0:
+        raise ValueError(
+            f"window must be a 1D kernel of odd length >= 3, got shape {np.shape(window)}"
+        )
+    _check_plane_size(x.shape, len(window))
     mu_x = _smooth(x, window, padding)
     mu_y = _smooth(y, window, padding)
     var_x = _smooth(x * x, window, padding) - mu_x * mu_x
@@ -287,7 +286,7 @@ def assess(
     """
     cfg = config or MetricConfig()
     bounds = tensor_bounds(ref_frames, dist_frames, cfg.tensor_len, frame_range)
-    window = gaussian_window(cfg.window_radius, cfg.window_sigma)
+    window: np.ndarray | None = None
 
     timings = {"transform": 0.0, "correlate": 0.0, "pool": 0.0}
     scores: list[float] = []
@@ -300,6 +299,10 @@ def assess(
             plane_r = tpsd_of_tensor(ref_frames[lo : hi + 1], cfg.center_dc)
             if ref_planes is not None:
                 ref_planes.append(plane_r)
+        if window is None:
+            # a window too big for the planes fails before its kernel is built
+            _check_plane_size(plane_r.shape, 2 * cfg.window_radius + 1)
+            window = gaussian_window(cfg.window_radius, cfg.window_sigma)
         plane_d = tpsd_of_tensor(dist_frames[lo : hi + 1], cfg.center_dc)
         t1 = time.perf_counter()
         plane_r, plane_d = normalize_planes(plane_r, plane_d, cfg.plane_normalization)

@@ -299,6 +299,17 @@ class TestGenerate:
         run_cli(capsys, args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_odd_size_leaves_no_file(self, capsys, tmp_path):
+        out_path = tmp_path / "odd.yuv"
+        code, _, err = run_cli(
+            capsys,
+            ["generate", "--out", str(out_path), "--width", "63", "--height", "48",
+             "--count", "3"],
+        )
+        assert code == 1
+        assert err == "error: OddDimensions: YUV 4:2:0 requires even dimensions, got 63x48\n"
+        assert not out_path.exists()
+
     def test_distort_requires_level(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,

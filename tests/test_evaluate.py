@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_frames
 from oracles import psnr_direct
@@ -56,6 +58,36 @@ class TestPearson:
         r = pearson(x, y)
         assert pearson(2.5 * x + 3.0, y) == pytest.approx(r, abs=1e-12)
         assert pearson(x, 0.1 * y - 7.0) == pytest.approx(r, abs=1e-12)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.floats(-1e3, 1e3, allow_subnormal=False),
+                st.floats(-1e3, 1e3, allow_subnormal=False),
+            ),
+            min_size=2,
+            max_size=12,
+        ),
+        k=st.integers(-900, 900),
+    )
+    def test_label_scale_is_exact(self, pairs, k):
+        # scaling by a power of two is exact while the labels stay normal, so
+        # it must not change a single bit, nor turn a defined r undefined
+        x = np.array([p[0] for p in pairs])
+        y = np.array([p[1] for p in pairs])
+        assume(np.all((y == 0) | (np.abs(y) >= 1e-6)))
+        try:
+            r = pearson(x, y)
+        except ConstantInput:
+            with pytest.raises(ConstantInput):
+                pearson(x, y * 2.0**k)
+            return
+        assert pearson(x, y * 2.0**k) == r
+
+    def test_extreme_label_scales(self):
+        assert pearson([0.9, 0.8, 0.7], [1e200, 2e200, 3e200]) == -1.0
+        assert pearson([0.9, 0.8, 0.7], [1e-200, 2e-200, 3e-200]) == -1.0
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):

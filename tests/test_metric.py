@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import frames_from_array
+import tpsdvqa.metric
 from oracles import local_moments_direct, pipeline_direct, zeta_direct
 from tpsdvqa.errors import (
     DimensionMismatch,
@@ -279,6 +280,27 @@ class TestAssess:
         cfg = MetricConfig(tensor_len=4)
         assert assess(frames, frames, cfg).video_score == 1.0
         assert assess(frames, dist, cfg).video_score < 1.0
+
+    def test_window_too_big_fails_before_kernel_and_distorted_transform(self, monkeypatch):
+        # a huge radius must fail on the plane size, not on building its kernel
+        calls = {"kernel": 0, "transform": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            tpsdvqa.metric, "gaussian_window", counted("kernel", tpsdvqa.metric.gaussian_window)
+        )
+        monkeypatch.setattr(
+            tpsdvqa.metric, "tpsd_of_tensor", counted("transform", tpsdvqa.metric.tpsd_of_tensor)
+        )
+        frames = make_moving_texture(64, 48, 4, seed=1)
+        with pytest.raises(PlaneTooSmall, match="plane 48x64 is smaller than the 81x81 window"):
+            assess(frames, frames, MetricConfig(tensor_len=4, window_radius=40))
+        assert calls == {"kernel": 0, "transform": 1}
 
     def test_frame_count_mismatch(self):
         frames = make_moving_texture(32, 32, 6, seed=1)

@@ -10,47 +10,45 @@ from tpsdvqa.errors import EmptySelection, OddDimensions, TruncatedStream
 from tpsdvqa.video_io import (
     FileFrames,
     LumaFrame,
-    VideoDescriptor,
     group_tensors,
     read_yuv420_file,
-    read_yuv420_luma,
     write_yuv420,
 )
 
 
-class TestDescriptor:
-    def test_valid(self):
-        d = VideoDescriptor(width=1280, height=720, frame_count=300)
-        assert d.luma_size == 921_600
-        assert d.frame_size == 1_382_400
+def write_bytes(tmp_path, raw: bytes):
+    path = tmp_path / "clip.yuv"
+    path.write_bytes(raw)
+    return path
 
+
+class TestDescriptor:
     @pytest.mark.parametrize("w,h", [(3, 4), (4, 3), (5, 5)])
     def test_rejects_odd_dimensions(self, w, h):
         with pytest.raises(OddDimensions):
-            VideoDescriptor(width=w, height=h, frame_count=1)
+            FileFrames("clip.yuv", w, h, range(1))
 
     def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError, match="dimensions must be positive, got 0x2"):
+            FileFrames("clip.yuv", 0, 2, range(1))
         with pytest.raises(ValueError):
-            VideoDescriptor(width=0, height=2, frame_count=1)
-        with pytest.raises(ValueError):
-            VideoDescriptor(width=2, height=2, frame_count=-1)
+            FileFrames("clip.yuv", 2, -2, range(1))
 
-    def test_from_byte_length(self):
-        d = VideoDescriptor.from_byte_length(4, 4, 48)
-        assert d.frame_count == 2
+    def test_from_byte_length(self, tmp_path):
+        frames = read_yuv420_file(write_bytes(tmp_path, bytes(48)), 4, 4)
+        assert len(frames) == 2
 
-    def test_from_byte_length_rejects_remainder(self):
-        with pytest.raises(TruncatedStream):
-            VideoDescriptor.from_byte_length(4, 4, 47)
+    def test_from_byte_length_rejects_remainder(self, tmp_path):
+        with pytest.raises(TruncatedStream, match="47 bytes is not a multiple of the 24-byte"):
+            read_yuv420_file(write_bytes(tmp_path, bytes(47)), 4, 4)
 
 
 class TestReadYuv:
-    def test_constant_fill_fixture(self):
+    def test_constant_fill_fixture(self, tmp_path):
         # 4x4, 2 frames, 48 bytes: frame 0 luma all 7, frame 1 luma 100..115
-        desc = VideoDescriptor(4, 4, 2)
         frame0 = bytes([7] * 16) + bytes([1] * 8)
         frame1 = bytes(range(100, 116)) + bytes([200] * 8)
-        frames = read_yuv420_luma(frame0 + frame1, desc)
+        frames = list(read_yuv420_file(write_bytes(tmp_path, frame0 + frame1), 4, 4))
         assert len(frames) == 2
         assert frames[0].pixels.shape == (4, 4)
         assert np.all(frames[0].pixels == 7)
@@ -59,30 +57,15 @@ class TestReadYuv:
             frames[1].pixels, np.arange(100, 116, dtype=np.uint8).reshape(4, 4)
         )
 
-    def test_off_by_one_is_truncated(self):
-        desc = VideoDescriptor(4, 4, 2)
+    def test_off_by_one_is_truncated(self, tmp_path):
         with pytest.raises(TruncatedStream):
-            read_yuv420_luma(bytes(47), desc)
+            read_yuv420_file(write_bytes(tmp_path, bytes(49)), 4, 4)
 
-    def test_stream_object_and_trailing_bytes(self):
-        desc = VideoDescriptor(4, 4, 1)
-        frames = read_yuv420_luma(io.BytesIO(bytes(24)), desc)
-        assert len(frames) == 1
-        with pytest.raises(TruncatedStream):
-            read_yuv420_luma(io.BytesIO(bytes(25)), desc)
-
-    def test_short_stream_object(self):
-        desc = VideoDescriptor(4, 4, 2)
-        with pytest.raises(TruncatedStream):
-            read_yuv420_luma(io.BytesIO(bytes(30)), desc)
-
-    @pytest.mark.parametrize("as_stream", [False, True])
-    def test_frames_keep_only_luma_alive(self, as_stream):
+    def test_frames_keep_only_luma_alive(self, tmp_path):
         # the buffers the frames hold, followed down to their owners, add up
         # to the luma bytes alone: no chroma plane outlives the read
-        desc = VideoDescriptor(8, 6, 5)
-        raw = bytes(i % 256 for i in range(desc.frame_count * desc.frame_size))
-        frames = read_yuv420_luma(io.BytesIO(raw) if as_stream else raw, desc)
+        raw = bytes(i % 256 for i in range(5 * 72))
+        frames = list(read_yuv420_file(write_bytes(tmp_path, raw), 8, 6))
         owners = {}
         for f in frames:
             assert not f.pixels.flags.writeable
@@ -91,11 +74,11 @@ class TestReadYuv:
                 owner = owner.base
             owners[id(owner)] = owner
         kept = sum(memoryview(o).nbytes for o in owners.values())
-        assert kept == desc.frame_count * desc.luma_size
+        assert kept == 5 * 48
 
 
 class TestWriteRoundTrip:
-    def test_round_trip_exact(self, rng):
+    def test_round_trip_exact(self, rng, tmp_path):
         frames = random_frames(rng, width=6, height=4, count=5)
         buf = io.BytesIO()
         assert write_yuv420(frames, buf) == 5
@@ -103,8 +86,7 @@ class TestWriteRoundTrip:
         assert len(raw) == 5 * 36
         # chroma planes are constant 128
         assert set(raw[24:36]) == {128}
-        desc = VideoDescriptor(6, 4, 5)
-        back = read_yuv420_luma(raw, desc)
+        back = read_yuv420_file(write_bytes(tmp_path, raw), 6, 4)
         for a, b in zip(frames, back):
             assert np.array_equal(a.pixels, b.pixels)
 
@@ -123,8 +105,7 @@ class TestWriteRoundTrip:
         path = tmp_path / "clip.yuv"
         write_yuv420(frames, path)
         back = read_yuv420_file(path, 16, 8)
-        desc = back.desc
-        assert desc.frame_count == 3
+        assert len(back) == 3
         for a, b in zip(frames, back):
             assert np.array_equal(a.pixels, b.pixels)
 
@@ -146,8 +127,6 @@ class TestWriteRoundTrip:
         assert write_yuv420(gen(), path) == 300
         assert path.stat().st_size == 414_720_000
         frames = read_yuv420_file(path, 1280, 720)
-        desc = frames.desc
-        assert desc.frame_count == 300
         assert len(frames) == 300
         for i in (0, 150, 299):
             assert np.array_equal(frames[i].pixels, frame_pixels(i))
@@ -164,9 +143,8 @@ class TestFileFrames:
     def test_length_geometry_and_frames(self, clip):
         frames, path = clip
         lazy = read_yuv420_file(path, 6, 4)
-        desc = lazy.desc
         assert isinstance(lazy, FileFrames)
-        assert len(lazy) == lazy.depth == desc.frame_count == 7
+        assert len(lazy) == lazy.depth == 7
         assert (lazy.height, lazy.width) == (4, 6)
         for a, b in zip(frames, lazy):
             assert np.array_equal(a.pixels, b.pixels)
