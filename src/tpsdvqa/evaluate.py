@@ -186,6 +186,10 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise ConstantInput(f"need at least 2 samples, got {xa.size}")
     if not (np.isfinite(xa).all() and np.isfinite(ya).all()):
         raise ConstantInput("correlation is undefined for a non-finite sample")
+    # the float mean of equal values need not equal them, so exact
+    # constancy is tested before any arithmetic
+    if (xa == xa[0]).all() or (ya == ya[0]).all():
+        raise ConstantInput("correlation is undefined for a constant input")
     # scaling each side by a power of two is exact and leaves r unchanged,
     # but keeps the dot products clear of overflow and underflow
     xa = np.ldexp(xa, -np.frexp(np.abs(xa).max())[1])
@@ -202,17 +206,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks; tied values share the average of their rank span."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
@@ -221,6 +216,9 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     ya = np.asarray(y, dtype=np.float64)
     if xa.shape != ya.shape or xa.ndim != 1:
         raise LengthMismatch(f"need equal-length 1D sequences, got {xa.shape} and {ya.shape}")
+    # NaN has no rank; +-inf ranks as the extreme it is
+    if np.isnan(xa).any() or np.isnan(ya).any():
+        raise ConstantInput("rank correlation is undefined for a NaN sample")
     return pearson(_average_ranks(xa), _average_ranks(ya))
 
 

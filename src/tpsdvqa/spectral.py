@@ -22,9 +22,8 @@ in the plane are frequency-contiguous instead of wrapping at the edges.
 
 from __future__ import annotations
 
-import io
 import os
-from typing import Iterator, Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 import scipy.fft as _fft
@@ -38,36 +37,21 @@ __all__ = [
 ]
 
 
-def _frame_arrays(tensor: Sequence[LumaFrame] | np.ndarray) -> Iterator[np.ndarray]:
-    """The tensor's frames as 2D arrays, one at a time."""
-    if isinstance(tensor, np.ndarray):
-        if tensor.ndim != 3:
-            raise ValueError(f"tensor array must be 3D, got {tensor.ndim}D")
-        if tensor.shape[2] < 2:
-            raise ValueError(f"tensor depth must be >= 2, got {tensor.shape[2]}")
-        return (tensor[:, :, t] for t in range(tensor.shape[2]))
-    if len(tensor) < 2:
-        raise ValueError(f"tensor needs at least 2 frames, got {len(tensor)}")
-    return (f.pixels for f in tensor)
-
-
-def tpsd_of_tensor(
-    tensor: Sequence[LumaFrame] | np.ndarray,
-    center_dc: bool = True,
-) -> np.ndarray:
+def tpsd_of_tensor(tensor: Sequence[LumaFrame], center_dc: bool = True) -> np.ndarray:
     """Time-aggregated PSD plane straight from a tensor, one frame at a time.
 
     Returns the ``(M, N)`` float64 plane, with the zero-frequency bin moved
     to ``(M//2, N//2)`` when ``center_dc`` is set. ``tensor`` is a sequence
-    of at least 2 equally sized frames, iterated once, or an array of shape
-    ``(M, N, O)`` with ``O >= 2``. Each frame is copied into one float64
-    buffer and its real-input half spectrum folded into one
+    of at least 2 equally sized frames, iterated once. Each frame is copied
+    into one float64 buffer and its real-input half spectrum folded into one
     ``(M, N//2 + 1)`` accumulator, so memory is O(frame) whatever the depth,
     and the dropped columns are restored from the plane's point symmetry
     T[h, k] == T[(M-h) % M, (N-k) % N].
     """
+    if len(tensor) < 2:
+        raise ValueError(f"tensor needs at least 2 frames, got {len(tensor)}")
     frame = s_half = None
-    for pixels in _frame_arrays(tensor):
+    for pixels in (f.pixels for f in tensor):
         if frame is None:
             m, n = pixels.shape
             n_half = n // 2 + 1
@@ -88,7 +72,7 @@ def tpsd_of_tensor(
     return np.fft.fftshift(plane) if center_dc else plane
 
 
-def write_grid(values: np.ndarray, dest: str | os.PathLike | TextIO) -> None:
+def write_grid(values: np.ndarray, dest: str | os.PathLike) -> None:
     """Dump a 2D array as a self-describing text grid.
 
     First line: ``<rows> <cols>``; then one line per row of full-precision
@@ -98,31 +82,21 @@ def write_grid(values: np.ndarray, dest: str | os.PathLike | TextIO) -> None:
     values = np.asarray(values)
     if values.ndim != 2:
         raise ValueError(f"grid dump needs a 2D array, got {values.ndim}D")
-    own = isinstance(dest, (str, os.PathLike))
-    fh: TextIO = open(dest, "w", encoding="utf-8") if own else dest  # type: ignore[arg-type]
-    try:
+    with open(dest, "w", encoding="utf-8") as fh:
         fh.write(f"{values.shape[0]} {values.shape[1]}\n")
         for row in values:
             fh.write(" ".join(format(v, ".17g") for v in row))
             fh.write("\n")
-    finally:
-        if own:
-            fh.close()
 
 
-def read_grid(source: str | os.PathLike | TextIO) -> np.ndarray:
+def read_grid(source: str | os.PathLike) -> np.ndarray:
     """Load a grid written by :func:`write_grid`."""
-    own = isinstance(source, (str, os.PathLike))
-    fh: TextIO = open(source, "r", encoding="utf-8") if own else source  # type: ignore[arg-type]
-    try:
+    with open(source, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise ValueError("grid header must be '<rows> <cols>'")
         rows, cols = int(header[0]), int(header[1])
-        data = np.loadtxt(io.StringIO(fh.read()), ndmin=2)
-    finally:
-        if own:
-            fh.close()
+        data = np.loadtxt(fh, ndmin=2)
     if data.shape != (rows, cols):
         raise ValueError(f"grid body {data.shape} does not match header {(rows, cols)}")
     return data

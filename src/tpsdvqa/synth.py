@@ -46,8 +46,8 @@ class DistortionSpec:
     def __post_init__(self) -> None:
         if self.kind not in DISTORTION_KINDS:
             raise ValueError(f"kind must be one of {DISTORTION_KINDS}, got {self.kind!r}")
-        if self.level <= 0:
-            raise ValueError(f"level must be positive, got {self.level}")
+        if not 0 < self.level < np.inf:
+            raise ValueError(f"level must be finite and positive, got {self.level}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, replace
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -130,7 +130,7 @@ def _luma_bytes(frame: LumaFrame) -> bytes:
     return pixels.tobytes()
 
 
-def write_yuv420(frames: Sequence[LumaFrame] | Iterable[LumaFrame], dest: str | os.PathLike | BinaryIO) -> int:
+def write_yuv420(frames: Iterable[LumaFrame], dest: str | os.PathLike) -> int:
     """Write frames as raw YUV 4:2:0 with both chroma planes filled with 128.
 
     Non-uint8 pixel values are rounded to the nearest luma step and clamped
@@ -138,29 +138,32 @@ def write_yuv420(frames: Sequence[LumaFrame] | Iterable[LumaFrame], dest: str | 
     """
     frames = iter(frames)
     first = next(frames, None)
-    # the geometry is checked before the output exists, so a rejected write
-    # leaves no file behind
+    # the geometry is checked before the output exists, and a write that
+    # fails later removes the file it created, so a rejected write leaves no
+    # file behind; a destination that already existed is never removed
     if first is not None and (first.height % 2 or first.width % 2):
         raise OddDimensions(
             f"YUV 4:2:0 requires even dimensions, got {first.width}x{first.height}"
         )
-    own = isinstance(dest, (str, os.PathLike))
-    fh: BinaryIO = open(dest, "wb") if own else dest  # type: ignore[arg-type]
+    created = not os.path.exists(dest)
     count = 0
-    try:
-        if first is not None:
-            chroma = b"\x80" * (first.width * first.height // 2)
-            for frame in itertools.chain([first], frames):
-                if frame.pixels.shape != first.pixels.shape:
-                    raise ValueError(
-                        f"frame {count} shape {frame.pixels.shape} differs from {first.pixels.shape}"
-                    )
-                fh.write(_luma_bytes(frame))
-                fh.write(chroma)
-                count += 1
-    finally:
-        if own:
+    with open(dest, "wb") as fh:
+        try:
+            if first is not None:
+                chroma = b"\x80" * (first.width * first.height // 2)
+                for frame in itertools.chain([first], frames):
+                    if frame.pixels.shape != first.pixels.shape:
+                        raise ValueError(
+                            f"frame {count} shape {frame.pixels.shape} differs from {first.pixels.shape}"
+                        )
+                    fh.write(_luma_bytes(frame))
+                    fh.write(chroma)
+                    count += 1
+        except BaseException:
             fh.close()
+            if created:
+                os.remove(dest)
+            raise
     return count
 
 

@@ -12,6 +12,13 @@ import math
 
 import numpy as np
 
+from tpsdvqa.video_io import LumaFrame
+
+
+def frames_of(x: np.ndarray) -> list[LumaFrame]:
+    """The ``O`` frames of an ``(M, N, O)`` sample array."""
+    return [LumaFrame(x[:, :, t]) for t in range(x.shape[2])]
+
 
 def dft3_direct(x: np.ndarray) -> np.ndarray:
     """Direct-sum forward 3D DFT: one explicit triple sum per output bin."""
@@ -186,3 +193,11 @@ def psnr_direct(ref_frames, dist_frames) -> float:
     if total == 0.0:
         return math.inf
     return 10.0 * math.log10(255.0**2 / (total / count))
+
+
+def average_ranks_direct(values) -> list[float]:
+    """1-based ranks with ties averaged: each value's rank counted pairwise."""
+    return [
+        sum(w < v for w in values) + (sum(w == v for w in values) + 1) / 2.0
+        for v in values
+    ]

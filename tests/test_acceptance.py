@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import local_moments_direct, tpsd_direct
+from oracles import frames_of, local_moments_direct, tpsd_direct
 from tpsdvqa.evaluate import pearson, spearman
 from tpsdvqa.metric import (
     MetricConfig,
@@ -44,7 +44,7 @@ def test_criterion_01_dft_oracle_equivalence():
     for shape in [(4, 4, 2), (5, 7, 3), (8, 8, 4), (16, 16, 8)]:
         x = rng.random(shape) * 255
         expected = tpsd_direct(x, center_dc=True)
-        got = tpsd_of_tensor(x, center_dc=True)
+        got = tpsd_of_tensor(frames_of(x), center_dc=True)
         worst = max(worst, float(np.max(np.abs(got - expected)) / np.max(np.abs(expected))))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-9 and elapsed < 10.0
@@ -59,7 +59,7 @@ def test_criterion_02_parseval_identity():
     for _ in range(100):
         shape = tuple(int(rng.integers(2, 11)) for _ in range(3))
         x = rng.random(shape) * 255
-        total = float(tpsd_of_tensor(x, center_dc=False).sum())
+        total = float(tpsd_of_tensor(frames_of(x), center_dc=False).sum())
         sample_energy = float(np.sum(x * x))  # == mno * mean squared pixel energy
         worst = max(
             worst,
@@ -104,8 +104,8 @@ def test_criterion_04_boundedness():
         center = bool(trial % 2)
         padding = "valid" if trial % 3 == 0 else "mirror"
         norm = ("ref-max", "none", "log10")[trial % 3]
-        plane_r = tpsd_of_tensor(ref, center_dc=center)
-        plane_d = tpsd_of_tensor(dist, center_dc=center)
+        plane_r = tpsd_of_tensor(frames_of(ref), center_dc=center)
+        plane_d = tpsd_of_tensor(frames_of(dist), center_dc=center)
         plane_r, plane_d = normalize_planes(plane_r, plane_d, norm)
         z = zeta_map(plane_r, plane_d, window, padding=padding)
         zeta_lo = min(zeta_lo, float(z.min()))

@@ -310,6 +310,19 @@ class TestGenerate:
         assert err == "error: OddDimensions: YUV 4:2:0 requires even dimensions, got 63x48\n"
         assert not out_path.exists()
 
+    def test_non_finite_level_diagnostic(self, capsys, tmp_path):
+        # a NaN level once wrote an all-zero clip and a record that is not JSON
+        out_path = tmp_path / "o.yuv"
+        code, out, err = run_cli(
+            capsys,
+            ["generate", "--out", str(out_path), "--width", "16", "--height", "16",
+             "--count", "4", "--distort", "gaussian-noise", "--level", "nan"],
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: ValueError: level must be finite and positive, got nan\n"
+        assert not out_path.exists()
+
     def test_distort_requires_level(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -512,6 +525,16 @@ class TestEntryPoint:
         assert proc.returncode == 0
         summary = [r for r in parse_records(proc.stdout) if r["record"] == "summary"]
         assert summary[0]["video_score"] == 1.0
+
+    def test_cli_import_leaves_out_scipy_stats(self):
+        # scipy.stats costs more to import than the whole CLI; a launch must not load it
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, tpsdvqa.cli; print('scipy.stats' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_usage_error_exit_code(self):
         proc = subprocess.run(

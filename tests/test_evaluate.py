@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_frames
-from oracles import psnr_direct
+from oracles import average_ranks_direct, psnr_direct
 import tpsdvqa.metric
 from tpsdvqa.errors import (
     ConstantInput,
@@ -100,6 +100,11 @@ class TestPearson:
             pearson([1, 2, 3], [5, 5, 5])
         with pytest.raises(ConstantInput):
             pearson([1], [2])
+        # the float mean of these 31 equal values is not the value itself
+        with pytest.raises(ConstantInput):
+            pearson([93.12651808120499] * 31, range(31))
+        with pytest.raises(ConstantInput):
+            pearson(range(31), [93.12651808120499] * 31)
 
     def test_non_finite_sample_is_undefined(self):
         # inf - inf is NaN, which a clamp into [-1, 1] would turn into -1.0
@@ -108,6 +113,11 @@ class TestPearson:
         with pytest.raises(ConstantInput):
             pearson([1.0, 2.0, 3.0], [1.0, math.nan, 3.0])
         assert spearman([math.inf, 40.0, 30.0], [1.0, 2.0, 3.0]) == -1.0
+        # NaN has no rank, while +-inf ranks as an extreme
+        with pytest.raises(ConstantInput):
+            spearman([1.0, math.nan, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(ConstantInput):
+            spearman([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, math.nan, 4.0])
 
     def test_identical_copy_leaves_psnr_pcc_undefined(self):
         # a bit-identical entry scores psnr_db = +inf
@@ -153,6 +163,29 @@ class TestSpearman:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             spearman([1], [1, 2])
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.sampled_from([-math.inf, -2.5, -0.0, 0.0, 1.0, 7.0, math.inf]),
+                st.floats(allow_nan=False),
+            ),
+            min_size=2,
+            max_size=30,
+        )
+    )
+    def test_matches_pairwise_rank_oracle_exactly(self, pairs):
+        # ties, signed zeros and +-inf all rank as the pairwise count says
+        x = [p[0] for p in pairs]
+        y = [p[1] for p in pairs]
+        try:
+            expected = pearson(average_ranks_direct(x), average_ranks_direct(y))
+        except ConstantInput:
+            with pytest.raises(ConstantInput):
+                spearman(x, y)
+            return
+        assert spearman(x, y) == expected
 
 
 class TestPsnr:

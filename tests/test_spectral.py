@@ -1,10 +1,9 @@
-import io
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import dft2_direct, dft3_direct, tpsd_direct
+from oracles import dft2_direct, dft3_direct, frames_of, tpsd_direct
 from tpsdvqa.spectral import read_grid, tpsd_of_tensor, write_grid
 from tpsdvqa.video_io import LumaFrame
 
@@ -22,13 +21,13 @@ class TestDft3:
 
     def test_matches_direct_oracle_4x4x2(self, rng):
         x = rng.random((4, 4, 2)) * 255
-        plane = tpsd_of_tensor(x, center_dc=False)
+        plane = tpsd_of_tensor(frames_of(x), center_dc=False)
         assert rel_err(plane, tpsd_direct(x, center_dc=False)) < 1e-12
 
     @pytest.mark.parametrize("shape", [(5, 7, 3), (8, 8, 4)])
     def test_matches_direct_oracle_other_sizes(self, rng, shape):
         x = rng.random(shape) * 255
-        plane = tpsd_of_tensor(x, center_dc=False)
+        plane = tpsd_of_tensor(frames_of(x), center_dc=False)
         assert rel_err(plane, tpsd_direct(x, center_dc=False)) < 1e-12
 
     def test_accepts_luma_tensor(self, rng):
@@ -39,17 +38,11 @@ class TestDft3:
         samples = np.stack([pixels, pixels.T], axis=-1).astype(np.float64)
         assert rel_err(plane, tpsd_direct(samples, center_dc=False)) < 1e-12
 
-    def test_rejects_depth_one(self):
-        with pytest.raises(ValueError):
-            tpsd_of_tensor(np.zeros((4, 4, 1)))
-
-    def test_rejects_2d_array(self):
-        with pytest.raises(ValueError):
-            tpsd_of_tensor(np.zeros((4, 4)))
-
     def test_rejects_a_single_frame(self):
         with pytest.raises(ValueError, match="at least 2 frames"):
             tpsd_of_tensor([LumaFrame(np.zeros((2, 2)))])
+        with pytest.raises(ValueError, match="at least 2 frames"):
+            tpsd_of_tensor(frames_of(np.zeros((4, 4, 1))))
 
     def test_rejects_mixed_frame_shapes(self):
         with pytest.raises(ValueError, match="disagree on shape"):
@@ -60,12 +53,12 @@ class TestPsd3:
     """The plane as the 3D periodogram |X|^2 / (M*N*O) summed over time."""
 
     def test_non_negative(self, rng):
-        plane = tpsd_of_tensor(rng.random((5, 4, 3)) * 255, center_dc=False)
+        plane = tpsd_of_tensor(frames_of(rng.random((5, 4, 3)) * 255), center_dc=False)
         assert np.all(plane >= 0)
 
     def test_parseval(self, rng):
         x = rng.random((4, 4, 2)) * 255
-        total = tpsd_of_tensor(x, center_dc=False).sum()
+        total = tpsd_of_tensor(frames_of(x), center_dc=False).sum()
         spec_energy = np.sum(np.abs(dft3_direct(x)) ** 2)
         assert total * x.size == pytest.approx(spec_energy, rel=1e-12)
         assert total == pytest.approx(np.sum(x * x), rel=1e-12)
@@ -75,14 +68,14 @@ class TestTpsd:
     def test_constant_tensor_dc_position(self):
         c, shape = 2.0, (6, 8, 3)
         x = np.full(shape, c)
-        corner = tpsd_of_tensor(x, center_dc=False)
+        corner = tpsd_of_tensor(frames_of(x), center_dc=False)
         assert corner[0, 0] == pytest.approx(c * c * np.prod(shape), rel=1e-12)
-        centered = tpsd_of_tensor(x, center_dc=True)
+        centered = tpsd_of_tensor(frames_of(x), center_dc=True)
         assert centered[3, 4] == pytest.approx(c * c * np.prod(shape), rel=1e-12)
 
     def test_aggregation_conserves_power(self, rng):
         x = rng.random((5, 7, 3)) * 255
-        plane = tpsd_of_tensor(x, center_dc=True)
+        plane = tpsd_of_tensor(frames_of(x), center_dc=True)
         assert plane.sum() == pytest.approx(np.sum(x * x), rel=1e-9)
         assert np.all(plane >= 0)
 
@@ -92,13 +85,13 @@ class TestTpsd:
         frame = rng.random((6, 4)) * 255
         o = 5
         x = np.stack([frame] * o, axis=-1)
-        plane = tpsd_of_tensor(x, center_dc=False)
+        plane = tpsd_of_tensor(frames_of(x), center_dc=False)
         frame_psd = np.abs(dft2_direct(frame)) ** 2 / frame.size
         assert rel_err(plane, o * frame_psd) < 1e-9
 
     def test_point_symmetry_before_centering(self, rng):
         x = rng.random((6, 9, 4)) * 255
-        plane = tpsd_of_tensor(x, center_dc=False)
+        plane = tpsd_of_tensor(frames_of(x), center_dc=False)
         m, n = plane.shape
         mirrored = plane[np.ix_((m - np.arange(m)) % m, (n - np.arange(n)) % n)]
         assert rel_err(mirrored, plane) < 1e-9
@@ -106,8 +99,8 @@ class TestTpsd:
     def test_scale_quadratic(self, rng):
         x = rng.random((4, 6, 3)) * 100
         s = 3.0
-        t1 = tpsd_of_tensor(x, center_dc=False)
-        t2 = tpsd_of_tensor(s * x, center_dc=False)
+        t1 = tpsd_of_tensor(frames_of(x), center_dc=False)
+        t2 = tpsd_of_tensor(frames_of(s * x), center_dc=False)
         assert rel_err(t2, s * s * t1) < 1e-12
 
     @pytest.mark.parametrize(
@@ -116,10 +109,10 @@ class TestTpsd:
     @pytest.mark.parametrize("center", [False, True])
     def test_fast_path_matches_three_step_route(self, rng, shape, center):
         x = rng.random(shape) * 255
-        # the same samples as uint8 frames take the frame-sequence branch
+        # the same samples as uint8 frames, as a decoded clip holds them
         frames = tuple(LumaFrame(x[:, :, t].astype(np.uint8)) for t in range(shape[2]))
         luma_samples = x.astype(np.uint8).astype(np.float64)
-        for tensor, samples in ((x, x), (frames, luma_samples)):
+        for tensor, samples in ((frames_of(x), x), (frames, luma_samples)):
             slow = tpsd_direct(samples, center_dc=center)
             fast = tpsd_of_tensor(tensor, center_dc=center)
             assert rel_err(fast, slow) < 1e-12
@@ -148,18 +141,17 @@ class TestTpsd:
         frame = rng.random((8, 8)) * 255
         static = np.stack([frame] * 6, axis=-1)
         rolling = np.stack([np.roll(frame, (2 * t, t), axis=(0, 1)) for t in range(6)], axis=-1)
-        a = tpsd_of_tensor(static, center_dc=False)
-        b = tpsd_of_tensor(rolling, center_dc=False)
+        a = tpsd_of_tensor(frames_of(static), center_dc=False)
+        b = tpsd_of_tensor(frames_of(rolling), center_dc=False)
         assert rel_err(b, a) < 1e-9
 
 
 class TestGridFormat:
-    def test_round_trip_exact(self, rng):
+    def test_round_trip_exact(self, rng, tmp_path):
         values = rng.random((5, 7)) * 1e9
-        buf = io.StringIO()
-        write_grid(values, buf)
-        buf.seek(0)
-        back = read_grid(buf)
+        path = tmp_path / "plane.grid"
+        write_grid(values, path)
+        back = read_grid(path)
         assert back.shape == (5, 7)
         assert np.array_equal(back, values)
 
@@ -171,7 +163,10 @@ class TestGridFormat:
         header = path.read_text().splitlines()[0]
         assert header == "3 4"
 
-    def test_header_mismatch_rejected(self):
-        assert read_grid(io.StringIO("1 2\n0 1\n")).shape == (1, 2)
+    def test_header_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "plane.grid"
+        path.write_text("1 2\n0 1\n")
+        assert read_grid(path).shape == (1, 2)
+        path.write_text("2 2\n0 1\n")
         with pytest.raises(ValueError):
-            read_grid(io.StringIO("2 2\n0 1\n"))
+            read_grid(path)

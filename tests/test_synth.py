@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,10 @@ class TestDistortionSpec:
     def test_rejects_nonpositive_level(self):
         with pytest.raises(ValueError):
             DistortionSpec("gaussian-noise", 0.0)
+        for kind in DISTORTION_KINDS:
+            for level in (math.inf, math.nan):
+                with pytest.raises(ValueError, match="finite and positive"):
+                    DistortionSpec(kind, level)
 
 
 class TestApplyDistortion:

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,25 +78,37 @@ class TestReadYuv:
 class TestWriteRoundTrip:
     def test_round_trip_exact(self, rng, tmp_path):
         frames = random_frames(rng, width=6, height=4, count=5)
-        buf = io.BytesIO()
-        assert write_yuv420(frames, buf) == 5
-        raw = buf.getvalue()
+        path = tmp_path / "clip.yuv"
+        assert write_yuv420(frames, path) == 5
+        raw = path.read_bytes()
         assert len(raw) == 5 * 36
         # chroma planes are constant 128
         assert set(raw[24:36]) == {128}
-        back = read_yuv420_file(write_bytes(tmp_path, raw), 6, 4)
+        back = read_yuv420_file(path, 6, 4)
         for a, b in zip(frames, back):
             assert np.array_equal(a.pixels, b.pixels)
 
-    def test_write_rounds_float_frames(self):
+    def test_write_rounds_float_frames(self, tmp_path):
         frame = LumaFrame(np.array([[1.4, 2.6], [300.0, -5.0]]))
-        buf = io.BytesIO()
-        write_yuv420([frame], buf)
-        assert buf.getvalue()[:4] == bytes([1, 3, 255, 0])
+        path = tmp_path / "clip.yuv"
+        write_yuv420([frame], path)
+        assert path.read_bytes()[:4] == bytes([1, 3, 255, 0])
 
-    def test_write_rejects_odd_dims(self):
+    def test_write_rejects_odd_dims(self, tmp_path):
         with pytest.raises(OddDimensions):
-            write_yuv420([LumaFrame(np.zeros((3, 4)))], io.BytesIO())
+            write_yuv420([LumaFrame(np.zeros((3, 4)))], tmp_path / "clip.yuv")
+
+    def test_failed_write_removes_only_its_own_file(self, tmp_path):
+        frames = [LumaFrame(np.zeros((4, 4))), LumaFrame(np.zeros((4, 6)))]
+        path = tmp_path / "mixed.yuv"
+        with pytest.raises(ValueError, match="frame 1 shape"):
+            write_yuv420(frames, path)
+        assert not path.exists()
+        # a destination that was there before the call is never deleted
+        path.write_bytes(b"kept")
+        with pytest.raises(ValueError, match="frame 1 shape"):
+            write_yuv420(frames, path)
+        assert path.exists()
 
     def test_file_round_trip(self, rng, tmp_path):
         frames = random_frames(rng, width=16, height=8, count=3)
