@@ -21,19 +21,22 @@ from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.fft
 from scipy.ndimage import correlate1d
 
 from .errors import DimensionMismatch, FrameCountMismatch, NegativeBase, PlaneTooSmall
 from .spectral import tpsd_of_tensor
-from .video_io import LumaFrame, group_tensors
+from .video_io import FileFrames, LumaFrame, group_tensors
 
 __all__ = [
     "NORMALIZATION_MODES",
     "PADDING_MODES",
+    "ZETA_BAND_ROWS",
     "MetricConfig",
     "QualityReport",
     "gaussian_window",
@@ -48,6 +51,8 @@ __all__ = [
 
 NORMALIZATION_MODES = ("ref-max", "none", "log10")
 PADDING_MODES = ("mirror", "valid")
+# rows of the correlation map computed from one slab of moments
+ZETA_BAND_ROWS = 64
 
 
 def _require_finite_positive(name: str, value: float) -> None:
@@ -160,6 +165,22 @@ def _smooth(values: np.ndarray, window: np.ndarray, padding: str) -> np.ndarray:
     return out
 
 
+def _moment_planes(
+    x_plane: np.ndarray, y_plane: np.ndarray, window: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both planes as float64, once they agree in shape and fit the 1D kernel."""
+    x = _plane_values(x_plane)
+    y = _plane_values(y_plane)
+    if x.shape != y.shape:
+        raise DimensionMismatch(f"plane shapes differ: {x.shape} vs {y.shape}")
+    if np.ndim(window) != 1 or len(window) < 3 or len(window) % 2 == 0:
+        raise ValueError(
+            f"window must be a 1D kernel of odd length >= 3, got shape {np.shape(window)}"
+        )
+    _check_plane_size(x.shape, len(window))
+    return x, y
+
+
 def local_moments(
     x_plane: np.ndarray,
     y_plane: np.ndarray,
@@ -173,15 +194,7 @@ def local_moments(
     Variances use the identity var = E[x^2] - E[x]^2; tiny negative results
     from float cancellation are clamped to zero before the square root.
     """
-    x = _plane_values(x_plane)
-    y = _plane_values(y_plane)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"plane shapes differ: {x.shape} vs {y.shape}")
-    if np.ndim(window) != 1 or len(window) < 3 or len(window) % 2 == 0:
-        raise ValueError(
-            f"window must be a 1D kernel of odd length >= 3, got shape {np.shape(window)}"
-        )
-    _check_plane_size(x.shape, len(window))
+    x, y = _moment_planes(x_plane, y_plane, window)
     mu_x = _smooth(x, window, padding)
     mu_y = _smooth(y, window, padding)
     var_x = _smooth(x * x, window, padding) - mu_x * mu_x
@@ -205,10 +218,35 @@ def zeta_map(
     + C). Cauchy-Schwarz bounds the result to [-1, 1] up to float rounding.
     Planes must agree in shape and DC placement and are expected to be
     already normalized.
+
+    The map is built in bands of ``ZETA_BAND_ROWS`` rows, each from the
+    moments of a slab that adds the window radius in rows on either side,
+    clipped at the plane edges. Every kept row's window then reads the same
+    rows, or the same mirrored plane edge, as on the whole plane, so the map
+    is bit-identical to one computed from whole-plane moments, while the
+    transient memory is a few slabs instead of five planes.
     """
     _require_finite_positive("stability constant", c)
-    _, _, sigma_x, sigma_y, cov = local_moments(ref, dist, window, padding)
-    return (cov + c) / (sigma_x * sigma_y + c)
+    x, y = _moment_planes(ref, dist, window)
+    if padding not in PADDING_MODES:
+        raise ValueError(f"padding must be one of {PADDING_MODES}, got {padding!r}")
+    m, n = x.shape
+    size = len(window)
+    d = size // 2
+    crop = d if padding == "valid" else 0
+    cols = slice(crop, n - crop)
+    zeta = np.empty((m - 2 * crop, n - 2 * crop))
+    for start in range(crop, m - crop, ZETA_BAND_ROWS):
+        stop = min(start + ZETA_BAND_ROWS, m - crop)
+        # the slab always spans at least one window
+        lo = max(0, min(start - d, m - size))
+        hi = min(m, max(stop + d, size))
+        _, _, sigma_x, sigma_y, cov = local_moments(x[lo:hi], y[lo:hi], window)
+        rows = slice(start - lo, stop - lo)
+        zeta[start - crop : stop - crop] = (cov[rows, cols] + c) / (
+            sigma_x[rows, cols] * sigma_y[rows, cols] + c
+        )
+    return zeta
 
 
 def tensor_score(zeta: np.ndarray) -> float:
@@ -259,6 +297,12 @@ def tensor_bounds(
     return group_tensors(len(ref_frames), tensor_len, frame_range)
 
 
+def _plane(tensor: Sequence[LumaFrame], center_dc: bool, workers: int) -> np.ndarray:
+    """``tpsd_of_tensor`` under the caller's FFT worker count, which is per thread."""
+    with scipy.fft.set_workers(workers):
+        return tpsd_of_tensor(tensor, center_dc)
+
+
 def assess(
     ref_frames: Sequence[LumaFrame],
     dist_frames: Sequence[LumaFrame],
@@ -273,6 +317,9 @@ def assess(
     aggregated PSD planes, normalized, correlated, and pooled; tensors are
     paired strictly by position (temporal alignment is assumed). Each tensor
     is a slice of the input, so a ``FileFrames`` input is read frame by frame.
+    A tensor's distorted plane is computed on a worker thread while the
+    calling thread computes its reference plane, both with the caller's
+    ``scipy.fft`` worker count; the thread is joined before ``assess`` returns.
     ``zeta_callback`` receives each tensor's index and correlation map (the
     2D array ``zeta_map`` returns) as it is produced.
 
@@ -286,35 +333,42 @@ def assess(
     """
     cfg = config or MetricConfig()
     bounds = tensor_bounds(ref_frames, dist_frames, cfg.tensor_len, frame_range)
-    window: np.ndarray | None = None
+    # a window too big for the planes fails before any transform or its kernel;
+    # a FileFrames knows its frame size, and a frame in memory costs nothing to index
+    first = ref_frames if isinstance(ref_frames, FileFrames) else ref_frames[bounds[0][0]]
+    _check_plane_size((first.height, first.width), 2 * cfg.window_radius + 1)
+    window = gaussian_window(cfg.window_radius, cfg.window_sigma)
+    workers = scipy.fft.get_workers()
 
     timings = {"transform": 0.0, "correlate": 0.0, "pool": 0.0}
     scores: list[float] = []
     depths: list[int] = []
-    for index, (lo, hi) in enumerate(bounds):
-        t0 = time.perf_counter()
-        if ref_planes is not None and index < len(ref_planes):
-            plane_r = ref_planes[index]
-        else:
-            plane_r = tpsd_of_tensor(ref_frames[lo : hi + 1], cfg.center_dc)
-            if ref_planes is not None:
-                ref_planes.append(plane_r)
-        if window is None:
-            # a window too big for the planes fails before its kernel is built
-            _check_plane_size(plane_r.shape, 2 * cfg.window_radius + 1)
-            window = gaussian_window(cfg.window_radius, cfg.window_sigma)
-        plane_d = tpsd_of_tensor(dist_frames[lo : hi + 1], cfg.center_dc)
-        t1 = time.perf_counter()
-        plane_r, plane_d = normalize_planes(plane_r, plane_d, cfg.plane_normalization)
-        zeta = zeta_map(plane_r, plane_d, window, cfg.stability_c, cfg.padding)
-        if zeta_callback is not None:
-            zeta_callback(index, zeta)
-        scores.append(tensor_score(zeta))
-        del plane_r, plane_d, zeta  # so no uncached plane outlives its tensor
-        t2 = time.perf_counter()
-        depths.append(hi - lo + 1)
-        timings["transform"] += t1 - t0
-        timings["correlate"] += t2 - t1
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for index, (lo, hi) in enumerate(bounds):
+            t0 = time.perf_counter()
+            # the distorted plane runs on the pool's thread while this thread
+            # computes the reference plane; a reference error still wins, as
+            # leaving the pool waits for the distorted side
+            pending = pool.submit(_plane, dist_frames[lo : hi + 1], cfg.center_dc, workers)
+            if ref_planes is not None and index < len(ref_planes):
+                plane_r = ref_planes[index]
+            else:
+                plane_r = tpsd_of_tensor(ref_frames[lo : hi + 1], cfg.center_dc)
+                if ref_planes is not None:
+                    ref_planes.append(plane_r)
+            plane_d = pending.result()
+            t1 = time.perf_counter()
+            plane_r, plane_d = normalize_planes(plane_r, plane_d, cfg.plane_normalization)
+            zeta = zeta_map(plane_r, plane_d, window, cfg.stability_c, cfg.padding)
+            if zeta_callback is not None:
+                zeta_callback(index, zeta)
+            scores.append(tensor_score(zeta))
+            # so no uncached plane outlives its tensor, the future's copy included
+            del pending, plane_r, plane_d, zeta
+            t2 = time.perf_counter()
+            depths.append(hi - lo + 1)
+            timings["transform"] += t1 - t0
+            timings["correlate"] += t2 - t1
 
     t3 = time.perf_counter()
     pooled = video_score(scores, cfg.beta)

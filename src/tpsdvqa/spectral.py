@@ -46,7 +46,8 @@ def tpsd_of_tensor(tensor: Sequence[LumaFrame], center_dc: bool = True) -> np.nd
     into one float64 buffer and its real-input half spectrum folded into one
     ``(M, N//2 + 1)`` accumulator, so memory is O(frame) whatever the depth,
     and the dropped columns are restored from the plane's point symmetry
-    T[h, k] == T[(M-h) % M, (N-k) % N].
+    T[h, k] == T[(M-h) % M, (N-k) % N], with the DC shift folded into the
+    same gather. Its transient memory is about 2.5 planes.
     """
     if len(tensor) < 2:
         raise ValueError(f"tensor needs at least 2 frames, got {len(tensor)}")
@@ -60,16 +61,26 @@ def tpsd_of_tensor(tensor: Sequence[LumaFrame], center_dc: bool = True) -> np.nd
         elif pixels.shape != frame.shape:
             raise ValueError(f"tensor frames disagree on shape: {pixels.shape} vs {frame.shape}")
         np.copyto(frame, pixels)
-        spec = _fft.rfft2(frame)
-        s_half += spec.real * spec.real
-        s_half += spec.imag * spec.imag
+        # interleaved real and imaginary parts, squared in place: the same
+        # products as re*re and im*im, without two more half planes
+        spec = _fft.rfft2(frame).view(np.float64)
+        np.multiply(spec, spec, out=spec)
+        s_half += spec[:, 0::2]
+        s_half += spec[:, 1::2]
+        del spec  # before the next frame's spectrum is allocated
+    del frame
     s_half /= m * n
 
+    # output bin (i, j) is plane bin (h, k) = ((i - row_shift) % M, (j - col_shift) % N):
+    # half-plane bin (h, k) when k < n_half, else ((M - h) % M, N - k) by symmetry
+    row_shift, col_shift = (m // 2, n // 2) if center_dc else (0, 0)
+    rows = np.arange(m)
+    cols = (np.arange(n) - col_shift) % n
+    kept = cols < n_half
     plane = np.empty((m, n), dtype=np.float64)
-    plane[:, :n_half] = s_half
-    # column k >= n_half mirrors row (M-h) % M of column N-k, for k = n_half..N-1
-    plane[:, n_half:] = s_half[(m - np.arange(m)) % m, n - n_half : 0 : -1]
-    return np.fft.fftshift(plane) if center_dc else plane
+    plane[:, kept] = s_half[((rows - row_shift) % m)[:, None], cols[kept]]
+    plane[:, ~kept] = s_half[((row_shift - rows) % m)[:, None], n - cols[~kept]]
+    return plane
 
 
 def write_grid(values: np.ndarray, dest: str | os.PathLike) -> None:

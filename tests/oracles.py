@@ -3,7 +3,8 @@
 Everything here is deliberately naive: direct summation DFTs, double-loop
 window statistics, per-pixel arithmetic. Nothing imports the library's fast
 paths (scipy.fft / scipy.ndimage), so agreement between the two routes is
-meaningful evidence.
+meaningful evidence. The one exception, ``zeta_whole_plane``, checks a
+restructuring rather than the arithmetic and says so.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 
 import numpy as np
 
+from tpsdvqa.metric import local_moments
 from tpsdvqa.video_io import LumaFrame
 
 
@@ -135,6 +137,18 @@ def zeta_direct(
 ) -> np.ndarray:
     """Straight-line correlation map from the double-loop moments."""
     _, _, sig_x, sig_y, cov = local_moments_direct(x, y, weights, padding)
+    return (cov + c) / (sig_x * sig_y + c)
+
+
+def zeta_whole_plane(
+    x: np.ndarray, y: np.ndarray, window: np.ndarray, c: float, padding: str
+) -> np.ndarray:
+    """The correlation map from one whole-plane ``local_moments`` call.
+
+    Unlike the rest of this module it uses the library's smoothing, so that
+    a map built band by band can be required to equal it bit for bit.
+    """
+    _, _, sig_x, sig_y, cov = local_moments(x, y, window, padding)
     return (cov + c) / (sig_x * sig_y + c)
 
 

@@ -1,3 +1,6 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import frames_from_array
 import tpsdvqa.metric
-from oracles import local_moments_direct, pipeline_direct, zeta_direct
+from oracles import local_moments_direct, pipeline_direct, zeta_direct, zeta_whole_plane
 from tpsdvqa.errors import (
     DimensionMismatch,
     FrameCountMismatch,
@@ -13,6 +16,8 @@ from tpsdvqa.errors import (
     PlaneTooSmall,
 )
 from tpsdvqa.metric import (
+    PADDING_MODES,
+    ZETA_BAND_ROWS,
     MetricConfig,
     assess,
     gaussian_window,
@@ -165,6 +170,61 @@ class TestZetaMap:
         assert z.shape == (10, 10)
 
 
+class TestZetaBands:
+    """``zeta_map`` works in row bands; the map must not notice."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        radius=st.integers(1, 6),
+        padding=st.sampled_from(PADDING_MODES),
+        bands=st.integers(0, 3),
+        offset=st.sampled_from(["exact", "+d", "-d", "+2d", "short"]),
+        short=st.integers(1, 12),
+        width=st.integers(13, 24),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bands_match_whole_plane_oracle(
+        self, radius, padding, bands, offset, short, width, seed
+    ):
+        # heights on every band case: the band height's multiples, those
+        # multiples +- the radius (and +2d, which makes the valid map an exact
+        # multiple), and a last band shorter than the window
+        d = radius
+        size = 2 * d + 1
+        extra = {"exact": 0, "+d": d, "-d": -d, "+2d": 2 * d, "short": 1 + short % (size - 1)}
+        height = max(size, bands * ZETA_BAND_ROWS + extra[offset])
+        rng = np.random.default_rng(seed)
+        x = rng.random((height, width))
+        y = x + 0.1 * rng.standard_normal((height, width))
+        w = gaussian_window(radius, 1.5)
+        got = zeta_map(x, y, w, 4.5e-4, padding)
+        want = zeta_whole_plane(x, y, w, 4.5e-4, padding)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert tensor_score(got) == tensor_score(want)
+
+    def test_memory_is_a_few_bands_not_five_planes(self, rng):
+        m, n = 720, 1280
+        ref = rng.random((m, n))
+        dist = ref + 0.01 * rng.random((m, n))
+        w = gaussian_window(5, 1.5)
+        plane_bytes = m * n * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            zeta_map(ref, dist, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 3 * plane_bytes
+
+    def test_rejects_an_unknown_padding(self):
+        plane = np.ones((16, 16))
+        with pytest.raises(ValueError, match="padding must be one of"):
+            zeta_map(plane, plane, gaussian_window(2, 1.0), padding="wrap")
+
+
 class TestNormalizePlanes:
     def test_ref_max_maps_reference_into_unit_range(self, rng):
         ref = rng.random((8, 8)) * 1e9
@@ -300,7 +360,41 @@ class TestAssess:
         frames = make_moving_texture(64, 48, 4, seed=1)
         with pytest.raises(PlaneTooSmall, match="plane 48x64 is smaller than the 81x81 window"):
             assess(frames, frames, MetricConfig(tensor_len=4, window_radius=40))
-        assert calls == {"kernel": 0, "transform": 1}
+        assert calls == {"kernel": 0, "transform": 0}
+
+    def test_distorted_plane_runs_on_a_worker_thread(self, monkeypatch):
+        threads = []
+        real = tpsdvqa.metric.tpsd_of_tensor
+
+        def recording(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tpsdvqa.metric, "tpsd_of_tensor", recording)
+        frames = make_moving_texture(32, 32, 8, seed=3)
+        dist = apply_distortion(frames, DistortionSpec("gaussian-noise", 20.0, seed=4))
+        assess(frames, dist, MetricConfig(tensor_len=4))
+        assert len(threads) == 4
+        assert threads.count(threading.get_ident()) == 2
+
+    def test_no_thread_outlives_assess(self):
+        cfg = MetricConfig(tensor_len=4)
+        frames = make_moving_texture(32, 32, 8, seed=3)
+        # the distorted side fails on the third frame, the reference on the second
+        bad_dist = list(frames)
+        bad_dist[2] = LumaFrame(np.zeros((32, 16)))
+        bad_ref = list(frames)
+        bad_ref[1] = LumaFrame(np.zeros((16, 32)))
+        before = threading.active_count()
+        assess(frames, frames, cfg)
+        assert threading.active_count() == before
+        with pytest.raises(ValueError, match=r"^tensor frames disagree on shape: \(32, 16\)"):
+            assess(frames, bad_dist, cfg)
+        assert threading.active_count() == before
+        # with both sides bad, the reference's error is the one raised
+        with pytest.raises(ValueError, match=r"^tensor frames disagree on shape: \(16, 32\)"):
+            assess(bad_ref, bad_dist, cfg)
+        assert threading.active_count() == before
 
     def test_frame_count_mismatch(self):
         frames = make_moving_texture(32, 32, 6, seed=1)
