@@ -96,34 +96,28 @@ def _emit(fh: TextIO, record: dict) -> None:
     fh.write(json.dumps(record) + "\n")
 
 
-def _open_out(args: argparse.Namespace) -> tuple[TextIO, bool]:
-    if getattr(args, "out", None):
-        return open(args.out, "w", encoding="utf-8"), True
-    return sys.stdout, False
-
-
 def _cmd_score(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    out, own = _open_out(args)
-    try:
-        t0 = time.perf_counter()
-        ref_frames = read_yuv420_file(args.ref, args.width, args.height)
-        dist_frames = read_yuv420_file(args.dist, args.width, args.height)
-        read_seconds = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    ref_frames = read_yuv420_file(args.ref, args.width, args.height)
+    dist_frames = read_yuv420_file(args.dist, args.width, args.height)
+    read_seconds = time.perf_counter() - t0
 
-        def dump_zeta(index: int, zeta: np.ndarray) -> None:
-            write_grid(zeta, f"{args.dump_zeta}.tensor{index:03d}.grid")
+    def dump_zeta(index: int, zeta: np.ndarray) -> None:
+        write_grid(zeta, f"{args.dump_zeta}.tensor{index:03d}.grid")
 
-        report = assess(
-            ref_frames,
-            dist_frames,
-            cfg,
-            frame_range=args.frames,
-            zeta_callback=dump_zeta if args.dump_zeta else None,
-        )
+    report = assess(
+        ref_frames,
+        dist_frames,
+        cfg,
+        frame_range=args.frames,
+        zeta_callback=dump_zeta if args.dump_zeta else None,
+    )
 
-        start = args.frames[0] if args.frames else 0
-        offset = start
+    # --out is opened only once scoring has succeeded, so a failure leaves it as it was
+    dest = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    with dest as out:
+        offset = args.frames[0] if args.frames else 0
         for i, (score, depth) in enumerate(zip(report.tensor_scores, report.tensor_depths)):
             _emit(out, {
                 "record": "tensor",
@@ -149,16 +143,13 @@ def _cmd_score(args: argparse.Namespace) -> int:
         timings = {"read": read_seconds, **report.timings}
         for stage in ("read", "transform", "correlate", "pool"):
             _emit(out, {"record": "timing", "stage": stage, "seconds": timings[stage]})
-        total = read_seconds + sum(report.timings.values())
-        print(
-            f"score {report.video_score:.6f} over {len(report.tensor_scores)} tensor(s) "
-            f"in {total:.2f}s",
-            file=sys.stderr,
-        )
-        return 0
-    finally:
-        if own:
-            out.close()
+    total = read_seconds + sum(report.timings.values())
+    print(
+        f"score {report.video_score:.6f} over {len(report.tensor_scores)} tensor(s) "
+        f"in {total:.2f}s",
+        file=sys.stderr,
+    )
+    return 0
 
 
 def _report_dict(report) -> dict:

@@ -69,8 +69,12 @@ def gaussian_window(radius: int = 5, sigma: float = 1.5) -> np.ndarray:
     if radius < 1:
         raise ValueError(f"window radius must be >= 1, got {radius}")
     _require_finite_positive("window sigma", sigma)
+    # the exponent's divisor must not underflow to zero, nor its largest value overflow
+    two_var = 2.0 * sigma * sigma
+    if two_var == 0.0 or math.isinf(radius * radius / two_var):
+        raise ValueError(f"window sigma {sigma} is too small for a radius-{radius} window")
     u = np.arange(-radius, radius + 1, dtype=np.float64)
-    g = np.exp(-(u * u) / (2.0 * sigma * sigma))
+    g = np.exp(-(u * u) / two_var)
     return g / g.sum()
 
 
@@ -113,11 +117,41 @@ class QualityReport:
     timings: dict[str, float] = field(default_factory=dict)
 
 
-def _plane_values(plane: np.ndarray) -> np.ndarray:
-    arr = np.asarray(plane, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"plane must be 2D, got {arr.ndim}D")
-    return arr
+def _check_plane_size(shape: tuple[int, ...], size: int) -> None:
+    """A ``size`` x ``size`` window must fit the plane."""
+    if shape[0] < size or shape[1] < size:
+        raise PlaneTooSmall(
+            f"plane {shape[0]}x{shape[1]} is smaller than the {size}x{size} window"
+        )
+
+
+def _plane_pair(
+    x_plane: np.ndarray, y_plane: np.ndarray, window: np.ndarray | None = None, padding="mirror"
+) -> tuple[np.ndarray, np.ndarray, tuple[slice, slice]]:
+    """Both planes as 2D float64 arrays of one shape, and the rows and columns
+    that ``padding`` keeps. A ``window`` must be an odd 1D kernel that fits the
+    planes; ``valid`` keeps the ``mirror`` result less the window radius at
+    every edge, since no kept bin's window reaches a mirrored value.
+    """
+    x = np.asarray(x_plane, dtype=np.float64)
+    y = np.asarray(y_plane, dtype=np.float64)
+    for arr in (x, y):
+        if arr.ndim != 2:
+            raise ValueError(f"plane must be 2D, got {arr.ndim}D")
+    if x.shape != y.shape:
+        raise DimensionMismatch(f"plane shapes differ: {x.shape} vs {y.shape}")
+    d = 0
+    if window is not None:
+        if np.ndim(window) != 1 or len(window) < 3 or len(window) % 2 == 0:
+            raise ValueError(
+                f"window must be a 1D kernel of odd length >= 3, got shape {np.shape(window)}"
+            )
+        _check_plane_size(x.shape, len(window))
+        if padding not in PADDING_MODES:
+            raise ValueError(f"padding must be one of {PADDING_MODES}, got {padding!r}")
+        d = len(window) // 2 if padding == "valid" else 0
+    m, n = x.shape
+    return x, y, (slice(d, m - d), slice(d, n - d))
 
 
 def normalize_planes(
@@ -131,10 +165,7 @@ def normalize_planes(
     """
     if mode not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization {mode!r}")
-    ref = _plane_values(ref)
-    dist = _plane_values(dist)
-    if ref.shape != dist.shape:
-        raise DimensionMismatch(f"plane shapes differ: {ref.shape} vs {dist.shape}")
+    ref, dist, _ = _plane_pair(ref, dist)
     if mode == "none":
         return ref, dist
     if mode == "ref-max":
@@ -145,40 +176,24 @@ def normalize_planes(
     return np.log10(1.0 + ref), np.log10(1.0 + dist)
 
 
-def _check_plane_size(shape: tuple[int, ...], size: int) -> None:
-    """A ``size`` x ``size`` window must fit the plane."""
-    if shape[0] < size or shape[1] < size:
-        raise PlaneTooSmall(
-            f"plane {shape[0]}x{shape[1]} is smaller than the {size}x{size} window"
-        )
-
-
-def _smooth(values: np.ndarray, window: np.ndarray, padding: str) -> np.ndarray:
-    """Weighted local mean of ``values``: mirror keeps the full size, valid crops."""
+def _smooth(values: np.ndarray, window: np.ndarray) -> np.ndarray:
+    """Weighted local mean of ``values``, mirrored at the edges."""
     out = correlate1d(values, window, axis=0, mode="reflect")
-    out = correlate1d(out, window, axis=1, mode="reflect")
-    if padding == "valid":
-        d = len(window) // 2
-        out = out[d:-d, d:-d]
-    elif padding != "mirror":
-        raise ValueError(f"padding must be one of {PADDING_MODES}, got {padding!r}")
-    return out
+    return correlate1d(out, window, axis=1, mode="reflect")
 
 
-def _moment_planes(
-    x_plane: np.ndarray, y_plane: np.ndarray, window: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both planes as float64, once they agree in shape and fit the 1D kernel."""
-    x = _plane_values(x_plane)
-    y = _plane_values(y_plane)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"plane shapes differ: {x.shape} vs {y.shape}")
-    if np.ndim(window) != 1 or len(window) < 3 or len(window) % 2 == 0:
-        raise ValueError(
-            f"window must be a 1D kernel of odd length >= 3, got shape {np.shape(window)}"
-        )
-    _check_plane_size(x.shape, len(window))
-    return x, y
+def _moments(
+    x: np.ndarray, y: np.ndarray, window: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The five mirror-padded moments of ``local_moments``, unchecked."""
+    mu_x = _smooth(x, window)
+    mu_y = _smooth(y, window)
+    var_x = _smooth(x * x, window) - mu_x * mu_x
+    var_y = _smooth(y * y, window) - mu_y * mu_y
+    np.maximum(var_x, 0.0, out=var_x)
+    np.maximum(var_y, 0.0, out=var_y)
+    cov = _smooth(x * y, window) - mu_x * mu_y
+    return mu_x, mu_y, np.sqrt(var_x), np.sqrt(var_y), cov
 
 
 def local_moments(
@@ -190,19 +205,14 @@ def local_moments(
     """Per-pixel Gaussian-weighted moments of two planes.
 
     ``window`` is the 1D kernel from :func:`gaussian_window`. Returns
-    ``(mu_x, mu_y, sigma_x, sigma_y, cov)`` from five smoothing passes.
+    ``(mu_x, mu_y, sigma_x, sigma_y, cov)`` as C-contiguous arrays.
     Variances use the identity var = E[x^2] - E[x]^2; tiny negative results
     from float cancellation are clamped to zero before the square root.
     """
-    x, y = _moment_planes(x_plane, y_plane, window)
-    mu_x = _smooth(x, window, padding)
-    mu_y = _smooth(y, window, padding)
-    var_x = _smooth(x * x, window, padding) - mu_x * mu_x
-    var_y = _smooth(y * y, window, padding) - mu_y * mu_y
-    np.maximum(var_x, 0.0, out=var_x)
-    np.maximum(var_y, 0.0, out=var_y)
-    cov = _smooth(x * y, window, padding) - mu_x * mu_y
-    return mu_x, mu_y, np.sqrt(var_x), np.sqrt(var_y), cov
+    x, y, keep = _plane_pair(x_plane, y_plane, window, padding)
+    moments = list(_moments(x, y, window))
+    # each whole-plane moment is freed once its kept part is copied
+    return tuple(np.ascontiguousarray(moments.pop(0)[keep]) for _ in range(5))
 
 
 def zeta_map(
@@ -214,39 +224,31 @@ def zeta_map(
 ) -> np.ndarray:
     """Local cross-correlation map between reference and distorted planes.
 
-    Returns a 2D array holding, per pixel, (cov + C) / (sigma_ref * sigma_dist
-    + C). Cauchy-Schwarz bounds the result to [-1, 1] up to float rounding.
-    Planes must agree in shape and DC placement and are expected to be
-    already normalized.
+    Returns a C-contiguous 2D array of (cov + C) / (sigma_ref * sigma_dist + C)
+    per pixel. Cauchy-Schwarz bounds the result to [-1, 1] up to float rounding.
+    Planes must agree in shape and DC placement and are expected to be already
+    normalized.
 
     The map is built in bands of ``ZETA_BAND_ROWS`` rows, each from the
     moments of a slab that adds the window radius in rows on either side,
-    clipped at the plane edges. Every kept row's window then reads the same
+    clipped at the plane edges. Every band row's window then reads the same
     rows, or the same mirrored plane edge, as on the whole plane, so the map
     is bit-identical to one computed from whole-plane moments, while the
     transient memory is a few slabs instead of five planes.
     """
     _require_finite_positive("stability constant", c)
-    x, y = _moment_planes(ref, dist, window)
-    if padding not in PADDING_MODES:
-        raise ValueError(f"padding must be one of {PADDING_MODES}, got {padding!r}")
-    m, n = x.shape
-    size = len(window)
-    d = size // 2
-    crop = d if padding == "valid" else 0
-    cols = slice(crop, n - crop)
-    zeta = np.empty((m - 2 * crop, n - 2 * crop))
-    for start in range(crop, m - crop, ZETA_BAND_ROWS):
-        stop = min(start + ZETA_BAND_ROWS, m - crop)
-        # the slab always spans at least one window
-        lo = max(0, min(start - d, m - size))
-        hi = min(m, max(stop + d, size))
-        _, _, sigma_x, sigma_y, cov = local_moments(x[lo:hi], y[lo:hi], window)
+    x, y, keep = _plane_pair(ref, dist, window, padding)
+    m = x.shape[0]
+    d = len(window) // 2
+    zeta = np.empty(x.shape)
+    for start in range(0, m, ZETA_BAND_ROWS):
+        stop = min(start + ZETA_BAND_ROWS, m)
+        lo, hi = max(0, start - d), min(m, stop + d)
+        _, _, sigma_x, sigma_y, cov = _moments(x[lo:hi], y[lo:hi], window)
         rows = slice(start - lo, stop - lo)
-        zeta[start - crop : stop - crop] = (cov[rows, cols] + c) / (
-            sigma_x[rows, cols] * sigma_y[rows, cols] + c
-        )
-    return zeta
+        zeta[start:stop] = (cov[rows] + c) / (sigma_x[rows] * sigma_y[rows] + c)
+    # a copy, not a view: np.mean sums a strided view in another order
+    return np.ascontiguousarray(zeta[keep])
 
 
 def tensor_score(zeta: np.ndarray) -> float:

@@ -161,6 +161,12 @@ def apply_distortion(frames: list[LumaFrame], spec: DistortionSpec) -> list[Luma
         return out
 
     if spec.kind == "gaussian-blur":
+        # scipy's kernel spans 4 sigma either side, whatever the frame size
+        side = max(frames[0].pixels.shape)
+        if spec.level > side:
+            raise ValueError(
+                f"blur level {spec.level} exceeds the frame's larger side, {side} pixels"
+            )
         out = []
         for f in frames:
             blurred = gaussian_filter(

@@ -258,6 +258,34 @@ class TestScore:
         assert code == 1
         assert err.startswith("error: FileNotFoundError:")
 
+    def test_failed_score_leaves_out_untouched(self, capsys, clip_pair, tmp_path):
+        ref_path, dist_path = clip_pair
+        kept = tmp_path / "kept.jsonl"
+        kept.write_bytes(b'{"record": "summary"}\n')
+        fresh = tmp_path / "fresh.jsonl"
+        for out_path in (kept, fresh):
+            code, _, err = run_cli(
+                capsys,
+                ["score", "--ref", str(tmp_path / "missing.yuv"), "--dist", str(dist_path)]
+                + SMALL + ["--out", str(out_path)],
+            )
+            assert code == 1
+            assert err.startswith("error: FileNotFoundError:")
+        assert kept.read_bytes() == b'{"record": "summary"}\n'
+        assert not fresh.exists()
+
+    def test_tiny_window_sigma_diagnostic(self, capsys, clip_pair):
+        # 2*sigma^2 underflows: the kernel would be all NaN
+        ref_path, dist_path = clip_pair
+        code, out, err = run_cli(
+            capsys,
+            ["score", "--ref", str(ref_path), "--dist", str(dist_path),
+             "--window-sigma", "1e-200"] + SMALL,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: ValueError: window sigma 1e-200 is too small for a radius-5 window\n"
+
 
 class TestGenerate:
     def test_edge_static_round_trip(self, capsys, tmp_path):
@@ -321,6 +349,22 @@ class TestGenerate:
         assert code == 1
         assert out == ""
         assert err == "error: ValueError: level must be finite and positive, got nan\n"
+        assert not out_path.exists()
+
+    def test_huge_blur_level_diagnostic(self, capsys, tmp_path):
+        # scipy would try to allocate a kernel of 8e15 taps
+        out_path = tmp_path / "blur.yuv"
+        code, out, err = run_cli(
+            capsys,
+            ["generate", "--out", str(out_path), "--width", "16", "--height", "16",
+             "--count", "2", "--distort", "gaussian-blur", "--level", "1e15"],
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "error: ValueError: blur level 1000000000000000.0 exceeds the frame's "
+            "larger side, 16 pixels\n"
+        )
         assert not out_path.exists()
 
     def test_distort_requires_level(self, capsys, tmp_path):

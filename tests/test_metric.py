@@ -66,6 +66,15 @@ class TestGaussianWindow:
             with pytest.raises(ValueError):
                 gaussian_window(5, sigma)
 
+    @pytest.mark.parametrize("sigma", [1e-200, 1e-154, 5e-324])
+    def test_tiny_sigma_raises_instead_of_a_broken_kernel(self, sigma):
+        # 2*sigma^2 underflows to zero, or radius^2 / (2*sigma^2) overflows
+        with pytest.raises(ValueError, match=f"window sigma {sigma} is too small"):
+            gaussian_window(5, sigma)
+
+    def test_smallest_usable_sigma_is_a_unit_impulse(self):
+        assert np.array_equal(gaussian_window(5, 1e-153), np.eye(11)[5])
+
 
 class TestLocalStats:
     def test_constant_plane(self):
@@ -97,6 +106,14 @@ class TestLocalStats:
         w = gaussian_window(2, 1.0)
         moments = local_moments(np.ones((16, 12)), np.ones((16, 12)), w, padding="valid")
         assert all(m.shape == (12, 8) for m in moments)
+
+    @pytest.mark.parametrize("padding", PADDING_MODES)
+    def test_moments_are_c_contiguous(self, rng, padding):
+        # np.mean sums a strided view in another order than a contiguous copy
+        x = rng.random((20, 17))
+        y = x + 0.1 * rng.random((20, 17))
+        moments = local_moments(x, y, gaussian_window(3, 1.5), padding)
+        assert all(m.flags.c_contiguous for m in moments)
 
     def test_plane_too_small(self):
         w = gaussian_window(5, 1.5)
@@ -202,6 +219,10 @@ class TestZetaBands:
         assert got.shape == want.shape
         assert np.array_equal(got, want)
         assert tensor_score(got) == tensor_score(want)
+        # valid is the mirror map cropped by the radius, as a contiguous copy
+        if padding == "valid":
+            assert np.array_equal(got, zeta_map(x, y, w, 4.5e-4, "mirror")[d:-d, d:-d])
+        assert got.flags.c_contiguous
 
     def test_memory_is_a_few_bands_not_five_planes(self, rng):
         m, n = 720, 1280

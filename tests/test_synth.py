@@ -162,6 +162,14 @@ class TestApplyDistortion:
         with pytest.raises(ValueError):
             apply_distortion([], DistortionSpec("gaussian-noise", 1.0))
 
+    def test_rejects_a_blur_wider_than_the_frame(self):
+        # scipy would build a kernel of 8e15 taps and fail to allocate it
+        ref = make_moving_texture(16, 16, 2, seed=1)
+        with pytest.raises(ValueError, match="exceeds the frame's larger side, 16 pixels"):
+            apply_distortion(ref, DistortionSpec("gaussian-blur", 1e15))
+        # a blur as wide as the frame still runs
+        assert len(apply_distortion(ref, DistortionSpec("gaussian-blur", 16.0))) == 2
+
     @pytest.mark.parametrize(
         "kind,levels",
         [
