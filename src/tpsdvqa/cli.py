@@ -282,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--height", type=int, required=True)
     score.add_argument("--frames", type=_parse_frames, default=None, metavar="START:END",
                        help="inclusive frame range to score")
-    score.add_argument("--threads", type=int, default=None, help="FFT worker threads")
+    score.add_argument("--threads", type=int, default=None,
+                       help="FFT worker threads; the correlation map's one extra thread is fixed")
     score.add_argument("--out", default=None, help="write structured records here instead of stdout")
     score.add_argument("--dump-zeta", default=None, metavar="PREFIX",
                        help="write each tensor's correlation map as PREFIX.tensorNNN.grid")
@@ -291,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("evaluate", help="batch-evaluate a manifest against DMOS labels")
     ev.add_argument("--manifest", required=True, help="CSV manifest path")
-    ev.add_argument("--threads", type=int, default=None, help="FFT worker threads")
+    ev.add_argument("--threads", type=int, default=None,
+                       help="FFT worker threads; the correlation map's one extra thread is fixed")
     ev.add_argument("--out", default=None, help="write the JSON report here")
     _metric_flags(ev)
     ev.set_defaults(func=_cmd_evaluate)

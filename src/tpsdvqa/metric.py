@@ -19,6 +19,7 @@ for experimentation.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -176,24 +177,38 @@ def normalize_planes(
     return np.log10(1.0 + ref), np.log10(1.0 + dist)
 
 
-def _smooth(values: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """Weighted local mean of ``values``, mirrored at the edges."""
-    out = correlate1d(values, window, axis=0, mode="reflect")
-    return correlate1d(out, window, axis=1, mode="reflect")
+def _smooth(
+    values: np.ndarray, window: np.ndarray, scratch: np.ndarray, out: np.ndarray
+) -> None:
+    """Weighted local mean of ``values`` into ``out``, mirrored at the edges."""
+    correlate1d(values, window, axis=0, mode="reflect", output=scratch)
+    correlate1d(scratch, window, axis=1, mode="reflect", output=out)
+
+
+def _workspace(shape: tuple[int, int]) -> list[np.ndarray]:
+    """The seven arrays ``_moments`` writes into: five moments and two scratch."""
+    return [np.empty(shape) for _ in range(7)]
 
 
 def _moments(
-    x: np.ndarray, y: np.ndarray, window: np.ndarray
+    x: np.ndarray, y: np.ndarray, window: np.ndarray, work: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The five mirror-padded moments of ``local_moments``, unchecked."""
-    mu_x = _smooth(x, window)
-    mu_y = _smooth(y, window)
-    var_x = _smooth(x * x, window) - mu_x * mu_x
-    var_y = _smooth(y * y, window) - mu_y * mu_y
-    np.maximum(var_x, 0.0, out=var_x)
-    np.maximum(var_y, 0.0, out=var_y)
-    cov = _smooth(x * y, window) - mu_x * mu_y
-    return mu_x, mu_y, np.sqrt(var_x), np.sqrt(var_y), cov
+    """The five mirror-padded moments of ``local_moments``, unchecked.
+
+    They are computed in place in ``work`` (from ``_workspace(x.shape)``), so
+    the call allocates no array; the results are its first five arrays.
+    """
+    mu_x, mu_y, sigma_x, sigma_y, cov, scratch, product = work
+    _smooth(x, window, scratch, mu_x)
+    _smooth(y, window, scratch, mu_y)
+    for v, mu, sigma in ((x, mu_x, sigma_x), (y, mu_y, sigma_y)):
+        _smooth(np.multiply(v, v, out=product), window, scratch, sigma)
+        sigma -= np.multiply(mu, mu, out=product)
+        np.maximum(sigma, 0.0, out=sigma)
+        np.sqrt(sigma, out=sigma)
+    _smooth(np.multiply(x, y, out=product), window, scratch, cov)
+    cov -= np.multiply(mu_x, mu_y, out=product)
+    return mu_x, mu_y, sigma_x, sigma_y, cov
 
 
 def local_moments(
@@ -210,7 +225,7 @@ def local_moments(
     from float cancellation are clamped to zero before the square root.
     """
     x, y, keep = _plane_pair(x_plane, y_plane, window, padding)
-    moments = list(_moments(x, y, window))
+    moments = list(_moments(x, y, window, _workspace(x.shape)))
     # each whole-plane moment is freed once its kept part is copied
     return tuple(np.ascontiguousarray(moments.pop(0)[keep]) for _ in range(5))
 
@@ -235,18 +250,47 @@ def zeta_map(
     rows, or the same mirrored plane edge, as on the whole plane, so the map
     is bit-identical to one computed from whole-plane moments, while the
     transient memory is a few slabs instead of five planes.
+
+    A plane of more than one band has its odd bands computed on a worker
+    thread while the calling thread computes the even ones; each band
+    writes only its own rows, and the thread is joined before ``zeta_map``
+    returns. An error on the calling thread wins over the worker's. This
+    thread is not configurable: the CLI's ``--threads`` sets only the
+    ``scipy.fft`` workers of the plane transforms.
     """
     _require_finite_positive("stability constant", c)
     x, y, keep = _plane_pair(ref, dist, window, padding)
     m = x.shape[0]
     d = len(window) // 2
     zeta = np.empty(x.shape)
-    for start in range(0, m, ZETA_BAND_ROWS):
+    starts = range(0, m, ZETA_BAND_ROWS)
+    # one workspace per thread, made up front: the bands then add the same
+    # memory whichever way the two threads interleave
+    slab_shape = (min(m, ZETA_BAND_ROWS + 2 * d), x.shape[1])
+    caller_work = _workspace(slab_shape)
+
+    def band(work: list[np.ndarray], start: int) -> None:
         stop = min(start + ZETA_BAND_ROWS, m)
         lo, hi = max(0, start - d), min(m, stop + d)
-        _, _, sigma_x, sigma_y, cov = _moments(x[lo:hi], y[lo:hi], window)
+        slab = [w[: hi - lo] for w in work]
+        _, _, sigma_x, sigma_y, cov = _moments(x[lo:hi], y[lo:hi], window, slab)
         rows = slice(start - lo, stop - lo)
-        zeta[start:stop] = (cov[rows] + c) / (sigma_x[rows] * sigma_y[rows] + c)
+        # (cov + c) / (sigma_x * sigma_y + c), computed in place
+        out = np.add(cov[rows], c, out=zeta[start:stop])
+        den = np.multiply(sigma_x[rows], sigma_y[rows], out=sigma_x[rows])
+        den += c
+        out /= den
+
+    if len(starts) == 1:
+        band(caller_work, 0)
+    else:
+        worker_work = _workspace(slab_shape)
+        # leaving the pool waits for the odd bands, so a caller error still wins
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            odd = pool.map(functools.partial(band, worker_work), starts[1::2])
+            for start in starts[::2]:
+                band(caller_work, start)
+            list(odd)
     # a copy, not a view: np.mean sums a strided view in another order
     return np.ascontiguousarray(zeta[keep])
 

@@ -240,6 +240,74 @@ class TestZetaBands:
             tracemalloc.stop()
         assert peak - base <= 3 * plane_bytes
 
+    @staticmethod
+    def _record_bands(monkeypatch, fail_on=()):
+        """Record the thread of every band's moments; raise on the named sides."""
+        caller = threading.get_ident()
+        seen = []
+        real = tpsdvqa.metric._moments
+
+        def recording(*args, **kwargs):
+            side = "caller" if threading.get_ident() == caller else "worker"
+            seen.append(threading.get_ident())
+            if side in fail_on:
+                raise RuntimeError(f"band failed on the {side}")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tpsdvqa.metric, "_moments", recording)
+        return caller, seen
+
+    @pytest.mark.parametrize(
+        "height", [ZETA_BAND_ROWS + 1, 2 * ZETA_BAND_ROWS, 5 * ZETA_BAND_ROWS - 3]
+    )
+    def test_bands_run_on_the_caller_and_one_worker(self, monkeypatch, rng, height):
+        caller, seen = self._record_bands(monkeypatch)
+        x = rng.random((height, 20))
+        before = threading.active_count()
+        zeta_map(x, x + 0.1 * rng.random(x.shape), gaussian_window(2, 1.0))
+        assert threading.active_count() == before
+        assert len(seen) == -(-height // ZETA_BAND_ROWS)
+        assert len(set(seen)) == 2
+        assert caller in seen
+
+    def test_one_band_starts_no_thread(self, monkeypatch, rng):
+        caller, seen = self._record_bands(monkeypatch)
+        x = rng.random((ZETA_BAND_ROWS, 20))
+        before = threading.active_count()
+        zeta_map(x, x.copy(), gaussian_window(2, 1.0))
+        assert threading.active_count() == before
+        assert seen == [caller]
+
+    @pytest.mark.parametrize(
+        "fail_on, raised",
+        [(("worker",), "worker"), (("caller",), "caller"), (("caller", "worker"), "caller")],
+    )
+    def test_a_failing_band_leaves_no_thread(self, monkeypatch, rng, fail_on, raised):
+        self._record_bands(monkeypatch, fail_on)
+        x = rng.random((3 * ZETA_BAND_ROWS, 20))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"^band failed on the {raised}$"):
+            zeta_map(x, x.copy(), gaussian_window(2, 1.0))
+        assert threading.active_count() == before
+
+    def test_peak_memory_does_not_depend_on_thread_timing(self, rng):
+        # each thread's slab workspace exists before the worker starts, so the
+        # traced peak is the same however the two threads' bands interleave
+        x = rng.random((ZETA_BAND_ROWS + 32, 160))
+        y = x + 0.1 * rng.random(x.shape)
+        w = gaussian_window(5, 1.5)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for _ in range(20):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                zeta_map(x, y, w)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert max(peaks) <= 1.01 * min(peaks), peaks
+
     def test_rejects_an_unknown_padding(self):
         plane = np.ones((16, 16))
         with pytest.raises(ValueError, match="padding must be one of"):

@@ -14,6 +14,7 @@ if BENCH_DIR not in sys.path:
     sys.path.insert(0, BENCH_DIR)
 
 import tpsdvqa.cli  # noqa: E402
+import tpsdvqa.metric  # noqa: E402
 from tpsdvqa.synth import DistortionSpec, apply_distortion, make_moving_texture  # noqa: E402
 from tpsdvqa.video_io import write_yuv420  # noqa: E402
 from tracing import Tracer  # noqa: E402
@@ -67,3 +68,34 @@ def test_traced_evaluate_counts_work_in_every_layer(capsys, tmp_path):
         spans = [s for s in tracer.spans if s["name"] == name]
         assert len(spans) == calls, name
         assert all(s["work"] > 0 for s in spans), name
+
+
+def test_traced_score_over_threaded_zeta_bands(capsys, tmp_path):
+    # the tracer keeps one span stack, so the zeta worker thread must call no
+    # wrapped function; 96 rows make two bands, one of them on the worker
+    ref = make_moving_texture(160, 96, 8, seed=1)
+    write_yuv420(ref, tmp_path / "ref.yuv")
+    write_yuv420(
+        apply_distortion(ref, DistortionSpec("gaussian-noise", 8.0, seed=2)),
+        tmp_path / "dist.yuv",
+    )
+    assert 96 > tpsdvqa.metric.ZETA_BAND_ROWS
+
+    was_tracing = tracemalloc.is_tracing()
+    tracer = Tracer()
+    try:
+        tracer.install()
+        code = tpsdvqa.cli.main(
+            ["score", "--ref", str(tmp_path / "ref.yuv"), "--dist", str(tmp_path / "dist.yuv"),
+             "--width", "160", "--height", "96", "--tensor-frames", "4"]
+        )
+    finally:
+        tracer.uninstall()
+        if not was_tracing:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    zeta_ids = {s["id"] for s in tracer.spans if s["name"] == "metric.zeta"}
+    assert len(zeta_ids) == 2
+    # a wrapped call from the worker would nest under the caller's open zeta span
+    assert [s["name"] for s in tracer.spans if s["parent"] in zeta_ids] == []
