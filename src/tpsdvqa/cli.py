@@ -227,8 +227,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     distortion = None
     if args.distort:
         if args.level is None:
-            print("error: ValueError: --distort requires --level", file=sys.stderr)
-            return 1
+            raise ValueError("--distort requires --level")
         distortion = DistortionSpec(kind=args.distort, level=args.level, seed=args.seed)
         frames = apply_distortion(frames, distortion)
 

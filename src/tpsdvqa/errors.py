@@ -14,7 +14,7 @@ class OddDimensions(VqaError):
 
 
 class TruncatedStream(VqaError):
-    """Byte stream length does not match the descriptor's frame geometry."""
+    """A file's size is not a whole number of frames, or a frame is cut short."""
 
 
 class EmptySelection(VqaError):

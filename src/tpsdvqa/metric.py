@@ -366,6 +366,8 @@ def assess(
     A tensor's distorted plane is computed on a worker thread while the
     calling thread computes its reference plane, both with the caller's
     ``scipy.fft`` worker count; the thread is joined before ``assess`` returns.
+    A tensor whose reference plane ``ref_planes`` already holds has its
+    distorted plane computed on the calling thread, and starts no thread.
     ``zeta_callback`` receives each tensor's index and correlation map (the
     2D array ``zeta_map`` returns) as it is produced.
 
@@ -392,25 +394,30 @@ def assess(
     with ThreadPoolExecutor(max_workers=1) as pool:
         for index, (lo, hi) in enumerate(bounds):
             t0 = time.perf_counter()
-            # the distorted plane runs on the pool's thread while this thread
-            # computes the reference plane; a reference error still wins, as
-            # leaving the pool waits for the distorted side
-            pending = pool.submit(_plane, dist_frames[lo : hi + 1], cfg.center_dc, workers)
+            dist_tensor = dist_frames[lo : hi + 1]
             if ref_planes is not None and index < len(ref_planes):
+                # one plane is left to compute, so this thread computes it and
+                # no worker starts
                 plane_r = ref_planes[index]
+                plane_d = tpsd_of_tensor(dist_tensor, cfg.center_dc)
             else:
+                # the distorted plane runs on the pool's thread while this
+                # thread computes the reference plane; a reference error still
+                # wins, as leaving the pool waits for the distorted side
+                pending = pool.submit(_plane, dist_tensor, cfg.center_dc, workers)
                 plane_r = tpsd_of_tensor(ref_frames[lo : hi + 1], cfg.center_dc)
                 if ref_planes is not None:
                     ref_planes.append(plane_r)
-            plane_d = pending.result()
+                plane_d = pending.result()
+                del pending  # the future holds the distorted plane too
             t1 = time.perf_counter()
             plane_r, plane_d = normalize_planes(plane_r, plane_d, cfg.plane_normalization)
             zeta = zeta_map(plane_r, plane_d, window, cfg.stability_c, cfg.padding)
             if zeta_callback is not None:
                 zeta_callback(index, zeta)
             scores.append(tensor_score(zeta))
-            # so no uncached plane outlives its tensor, the future's copy included
-            del pending, plane_r, plane_d, zeta
+            # so no uncached plane outlives its tensor
+            del plane_r, plane_d, zeta
             t2 = time.perf_counter()
             depths.append(hi - lo + 1)
             timings["transform"] += t1 - t0

@@ -52,10 +52,11 @@ class DistortionSpec:
             raise ValueError(f"seed must fit in 64 unsigned bits, got {self.seed}")
 
 
-def _freeze_frame(pixels: np.ndarray) -> LumaFrame:
-    out = pixels.copy()
-    out.flags.writeable = False
-    return LumaFrame(out)
+def _frame(values: np.ndarray) -> LumaFrame:
+    """A read-only 8-bit frame of ``values`` rounded to the nearest step and clamped to [0, 255]."""
+    pixels = np.clip(np.rint(values), 0, 255).astype(np.uint8)
+    pixels.flags.writeable = False
+    return LumaFrame(pixels)
 
 
 def make_edge_sequence(width: int, height: int, motion: bool) -> list[LumaFrame]:
@@ -70,8 +71,8 @@ def make_edge_sequence(width: int, height: int, motion: bool) -> list[LumaFrame]
     frame0 = np.full((height, width), _BACKGROUND, dtype=np.uint8)
     top = height // 2 - _LINE_THICKNESS // 2
     frame0[top : top + _LINE_THICKNESS, :] = _LINE
-    frame1 = np.roll(frame0, height // 8, axis=0) if motion else frame0.copy()
-    return [_freeze_frame(frame0), _freeze_frame(frame1)]
+    frame1 = np.roll(frame0, height // 8, axis=0) if motion else frame0
+    return [_frame(frame0), _frame(frame1)]
 
 
 def make_noise_sequence(
@@ -82,7 +83,7 @@ def make_noise_sequence(
         raise ValueError(f"frame_count must be positive, got {frame_count}")
     rng = np.random.default_rng(seed)
     return [
-        _freeze_frame(rng.integers(0, 256, size=(height, width), dtype=np.uint8))
+        _frame(rng.integers(0, 256, size=(height, width), dtype=np.uint8))
         for _ in range(frame_count)
     ]
 
@@ -134,16 +135,16 @@ def make_moving_texture(
             canvas += amplitudes[b] * np.exp(
                 -(dy * dy + dx * dx) / (2.0 * radii[b] * radii[b])
             )
-        frames.append(_freeze_frame(_to_uint8(canvas)))
+        frames.append(_frame(canvas))
     return frames
-
-
-def _to_uint8(values: np.ndarray) -> np.ndarray:
-    return np.clip(np.rint(values), 0, 255).astype(np.uint8)
 
 
 def apply_distortion(frames: list[LumaFrame], spec: DistortionSpec) -> list[LumaFrame]:
     """Apply one distortion family at one level; deterministic under the seed.
+
+    Every kind returns read-only 8-bit frames: pixels are rounded to the
+    nearest luma step and clamped to [0, 255], so a float frame, frozen or
+    not, comes back as ``uint8``.
 
     Frame freeze picks its start frame from the seed alone (never from the
     level), so raising the level only widens the frozen span; that keeps the
@@ -153,44 +154,33 @@ def apply_distortion(frames: list[LumaFrame], spec: DistortionSpec) -> list[Luma
         raise ValueError("frames must be non-empty")
     rng = np.random.default_rng(spec.seed)
 
-    if spec.kind == "gaussian-noise":
-        out = []
-        for f in frames:
-            noisy = f.pixels.astype(np.float64) + rng.normal(0.0, spec.level, f.pixels.shape)
-            out.append(_freeze_frame(_to_uint8(noisy)))
+    if spec.kind == "frame-freeze":
+        out = [_frame(f.pixels) for f in frames]
+        if len(frames) < 2:
+            return out
+        freeze_len = max(1, int(round(spec.level)))
+        # start in the first third so spans up to ~2/3 of the sequence fit without
+        # truncating, which would alias different levels onto the same output
+        start = 1 + int(rng.integers(0, max(1, (len(frames) - 1) // 3)))
+        for i in range(start, min(start + freeze_len, len(frames))):
+            out[i] = out[start - 1]
         return out
 
-    if spec.kind == "gaussian-blur":
+    if spec.kind == "gaussian-noise":
+        def distort(pixels: np.ndarray) -> np.ndarray:
+            # one draw per frame, in frame order
+            return pixels + rng.normal(0.0, spec.level, pixels.shape)
+    elif spec.kind == "gaussian-blur":
         # scipy's kernel spans 4 sigma either side, whatever the frame size
         side = max(frames[0].pixels.shape)
         if spec.level > side:
             raise ValueError(
                 f"blur level {spec.level} exceeds the frame's larger side, {side} pixels"
             )
-        out = []
-        for f in frames:
-            blurred = gaussian_filter(
-                f.pixels.astype(np.float64), sigma=spec.level, mode="reflect"
-            )
-            out.append(_freeze_frame(_to_uint8(blurred)))
-        return out
 
-    if spec.kind == "block-quantize":
-        out = []
-        for f in frames:
-            quantized = np.floor(f.pixels.astype(np.float64) / spec.level) * spec.level
-            out.append(_freeze_frame(_to_uint8(np.clip(quantized, 0, 255))))
-        return out
-
-    # frame-freeze
-    out = [_freeze_frame(f.pixels) for f in frames]
-    if len(frames) < 2:
-        return out
-    freeze_len = max(1, int(round(spec.level)))
-    # start in the first third so spans up to ~2/3 of the sequence fit without
-    # truncating, which would alias different levels onto the same output
-    start = 1 + int(rng.integers(0, max(1, (len(frames) - 1) // 3)))
-    held = frames[start - 1].pixels
-    for i in range(start, min(start + freeze_len, len(frames))):
-        out[i] = _freeze_frame(held)
-    return out
+        def distort(pixels: np.ndarray) -> np.ndarray:
+            return gaussian_filter(pixels, sigma=spec.level, mode="reflect")
+    else:  # block-quantize
+        def distort(pixels: np.ndarray) -> np.ndarray:
+            return np.floor(pixels / spec.level) * spec.level
+    return [_frame(distort(f.pixels.astype(np.float64))) for f in frames]

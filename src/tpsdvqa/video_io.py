@@ -112,14 +112,16 @@ def read_yuv420_file(path: str | os.PathLike, width: int, height: int) -> FileFr
 
     The file must hold a whole number of frames.
     """
-    byte_length = os.path.getsize(path)
+    # a path that cannot be opened, a directory included, fails here with the
+    # OS error, before the geometry check and not mid-score
+    with open(path, "rb") as fh:
+        byte_length = os.fstat(fh.fileno()).st_size
     frames = FileFrames(os.fspath(path), width, height, range(0))
     if byte_length % frames.frame_size:
         raise TruncatedStream(
             f"{byte_length} bytes is not a multiple of the {frames.frame_size}-byte "
             f"frame size for {width}x{height}"
         )
-    open(path, "rb").close()  # an unreadable file fails here, not mid-score
     return replace(frames, indices=range(byte_length // frames.frame_size))
 
 
@@ -134,17 +136,17 @@ def write_yuv420(frames: Iterable[LumaFrame], dest: str | os.PathLike) -> int:
     """Write frames as raw YUV 4:2:0 with both chroma planes filled with 128.
 
     Non-uint8 pixel values are rounded to the nearest luma step and clamped
-    to [0, 255]. Returns the number of frames written.
+    to [0, 255]. A geometry that ``read_yuv420_file`` refuses is refused here,
+    with its error. Returns the number of frames written.
     """
     frames = iter(frames)
     first = next(frames, None)
-    # the geometry is checked before the output exists, and a write that
-    # fails later removes the file it created, so a rejected write leaves no
-    # file behind; a destination that already existed is never removed
-    if first is not None and (first.height % 2 or first.width % 2):
-        raise OddDimensions(
-            f"YUV 4:2:0 requires even dimensions, got {first.width}x{first.height}"
-        )
+    # the geometry is checked by the reader's rules before the output exists,
+    # and a write that fails later removes the file it created, so a rejected
+    # write leaves no file behind; a destination that already existed is
+    # never removed
+    if first is not None:
+        FileFrames(os.fspath(dest), first.width, first.height, range(0))
     created = not os.path.exists(dest)
     count = 0
     with open(dest, "wb") as fh:

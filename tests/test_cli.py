@@ -258,6 +258,16 @@ class TestScore:
         assert code == 1
         assert err.startswith("error: FileNotFoundError:")
 
+    def test_directory_diagnostic(self, capsys, clip_pair, tmp_path):
+        # a directory is named as such, not measured as a clip of the wrong size
+        _, dist_path = clip_pair
+        code, out, err = run_cli(
+            capsys, ["score", "--ref", str(tmp_path), "--dist", str(dist_path)] + SMALL
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: IsADirectoryError: [Errno 21] Is a directory: '{tmp_path}'\n"
+
     def test_failed_score_leaves_out_untouched(self, capsys, clip_pair, tmp_path):
         ref_path, dist_path = clip_pair
         kept = tmp_path / "kept.jsonl"
@@ -336,6 +346,20 @@ class TestGenerate:
         )
         assert code == 1
         assert err == "error: OddDimensions: YUV 4:2:0 requires even dimensions, got 63x48\n"
+        assert not out_path.exists()
+
+    def test_zero_width_leaves_no_file(self, capsys, tmp_path):
+        # the noise pattern makes 0-pixel-wide frames; the writer refuses them
+        # as the reader would, instead of writing a file no command can read
+        out_path = tmp_path / "empty.yuv"
+        code, out, err = run_cli(
+            capsys,
+            ["generate", "--out", str(out_path), "--width", "0", "--height", "4",
+             "--pattern", "noise", "--count", "2"],
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: ValueError: dimensions must be positive, got 0x4\n"
         assert not out_path.exists()
 
     def test_non_finite_level_diagnostic(self, capsys, tmp_path):
@@ -486,6 +510,20 @@ class TestEvaluate:
         assert [r["error"] for r in entries] == [None, "FrameCountMismatch", None, None]
         assert entries[1]["error_message"] == "reference has 24 frames, distorted has 20"
         assert all(isinstance(r["score"], float) for i, r in enumerate(entries) if i != 1)
+        assert "evaluated 3/4 entries (1 failed)" in err
+
+    def test_directory_entry_is_a_per_entry_failure(self, capsys, manifest, tmp_path):
+        rows = manifest.read_text(encoding="utf-8").splitlines()
+        rows.insert(2, f"r0.yuv,{tmp_path},32,32,15.0,noise,,")
+        path = manifest.parent / "directory_entry.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, ["evaluate", "--manifest", str(path), "--tensor-frames", "4"]
+        )
+        assert code == 0
+        entries = [r for r in parse_records(out) if r["record"] == "entry"]
+        assert [r["error"] for r in entries] == [None, "IsADirectoryError", None, None]
+        assert entries[1]["error_message"] == f"[Errno 21] Is a directory: '{tmp_path}'"
         assert "evaluated 3/4 entries (1 failed)" in err
 
     def test_empty_manifest_diagnostic(self, capsys, tmp_path):

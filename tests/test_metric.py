@@ -466,6 +466,24 @@ class TestAssess:
         assert len(threads) == 4
         assert threads.count(threading.get_ident()) == 2
 
+    def test_cached_reference_computes_the_distorted_plane_on_the_caller(self, monkeypatch):
+        frames = make_moving_texture(32, 32, 4, seed=3)
+        dist = apply_distortion(frames, DistortionSpec("gaussian-noise", 20.0, seed=4))
+        cfg = MetricConfig(tensor_len=4)
+        planes = []
+        first = assess(frames, dist, cfg, ref_planes=planes)
+        threads = []
+        real = tpsdvqa.metric.tpsd_of_tensor
+
+        def recording(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tpsdvqa.metric, "tpsd_of_tensor", recording)
+        again = assess(frames, dist, cfg, ref_planes=planes)
+        assert threads == [threading.get_ident()]
+        assert again.tensor_scores == first.tensor_scores
+
     def test_no_thread_outlives_assess(self):
         cfg = MetricConfig(tensor_len=4)
         frames = make_moving_texture(32, 32, 8, seed=3)

@@ -11,6 +11,7 @@ from tpsdvqa.synth import (
     make_moving_texture,
     make_noise_sequence,
 )
+from tpsdvqa.video_io import LumaFrame
 
 
 def mse(a_frames, b_frames):
@@ -90,6 +91,22 @@ class TestGenerators:
         assert best > 0
 
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: make_edge_sequence(32, 16, motion=False),
+            lambda: make_edge_sequence(32, 16, motion=True),
+            lambda: make_noise_sequence(32, 16, 3, seed=1),
+            lambda: make_moving_texture(32, 16, 3, seed=1),
+        ],
+        ids=["edge-static", "edge-moving", "noise", "texture"],
+    )
+    def test_frames_are_read_only_uint8(self, make):
+        for f in make():
+            assert f.pixels.dtype == np.uint8
+            assert not f.pixels.flags.writeable
+
+
 class TestDistortionSpec:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -124,6 +141,20 @@ class TestApplyDistortion:
             assert len(out) == 5
             assert all(f.pixels.shape == (16, 24) for f in out)
             assert all(f.pixels.dtype == np.uint8 for f in out)
+
+    @pytest.mark.parametrize("kind", DISTORTION_KINDS)
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_every_kind_returns_read_only_uint8(self, kind, dtype):
+        ref = [LumaFrame(f.pixels.astype(dtype)) for f in make_moving_texture(24, 16, 6, seed=6)]
+        out = apply_distortion(ref, DistortionSpec(kind, 2.0, seed=1))
+        for f in out:
+            assert f.pixels.dtype == np.uint8
+            assert not f.pixels.flags.writeable
+
+    def test_freeze_rounds_a_float_frame_to_8_bits(self):
+        ref = [LumaFrame(np.array([[1.4, 2.6], [300.0, -5.0]]))] * 4
+        for f in apply_distortion(ref, DistortionSpec("frame-freeze", 2.0, seed=0)):
+            assert np.array_equal(f.pixels, np.array([[1, 3], [255, 0]], dtype=np.uint8))
 
     def test_vanishing_noise_is_identity_after_rounding(self):
         ref = make_moving_texture(24, 24, 4, seed=7)

@@ -42,6 +42,10 @@ class TestDescriptor:
 
 
 class TestReadYuv:
+    def test_directory_is_the_os_error(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            read_yuv420_file(tmp_path, 4, 4)
+
     def test_constant_fill_fixture(self, tmp_path):
         # 4x4, 2 frames, 48 bytes: frame 0 luma all 7, frame 1 luma 100..115
         frame0 = bytes([7] * 16) + bytes([1] * 8)
@@ -97,6 +101,27 @@ class TestWriteRoundTrip:
     def test_write_rejects_odd_dims(self, tmp_path):
         with pytest.raises(OddDimensions):
             write_yuv420([LumaFrame(np.zeros((3, 4)))], tmp_path / "clip.yuv")
+
+    @pytest.mark.parametrize(
+        "shape,error,message",
+        [
+            ((3, 4), OddDimensions, "YUV 4:2:0 requires even dimensions, got 4x3"),
+            ((4, 5), OddDimensions, "YUV 4:2:0 requires even dimensions, got 5x4"),
+            ((4, 0), ValueError, "dimensions must be positive, got 0x4"),
+            ((0, 4), ValueError, "dimensions must be positive, got 4x0"),
+        ],
+        ids=["odd-height", "odd-width", "zero-width", "zero-height"],
+    )
+    def test_write_refuses_what_the_reader_refuses(self, tmp_path, shape, error, message):
+        path = tmp_path / "clip.yuv"
+        with pytest.raises(error) as written:
+            write_yuv420([LumaFrame(np.zeros(shape))], path)
+        assert str(written.value) == message
+        assert not path.exists()
+        # the reader gives the same error for the same geometry
+        path.write_bytes(b"")
+        with pytest.raises(error, match=f"^{message}$"):
+            read_yuv420_file(path, shape[1], shape[0])
 
     def test_failed_write_removes_only_its_own_file(self, tmp_path):
         frames = [LumaFrame(np.zeros((4, 4))), LumaFrame(np.zeros((4, 6)))]
