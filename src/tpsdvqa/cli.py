@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import os
 import sys
 import time
 from typing import Sequence, TextIO
@@ -24,7 +25,7 @@ from typing import Sequence, TextIO
 import numpy as np
 import scipy.fft
 
-from .errors import VqaError
+from .errors import REPORTED_ERRORS
 from .evaluate import correlation_report, load_manifest, score_manifest
 from .metric import (
     NORMALIZATION_MODES,
@@ -43,7 +44,13 @@ from .synth import (
 )
 from .video_io import group_tensors, read_yuv420_file, write_yuv420
 
-PATTERNS = ("edge-static", "edge-moving", "noise", "texture")
+# each --pattern and the frames it makes from the parsed arguments
+PATTERNS = {
+    "edge-static": lambda a: make_edge_sequence(a.width, a.height, motion=False),
+    "edge-moving": lambda a: make_edge_sequence(a.width, a.height, motion=True),
+    "noise": lambda a: make_noise_sequence(a.width, a.height, a.count, a.seed),
+    "texture": lambda a: make_moving_texture(a.width, a.height, a.count, a.seed),
+}
 
 
 def _parse_bool(text: str) -> bool:
@@ -64,32 +71,32 @@ def _parse_frames(text: str) -> tuple[int, int]:
     return start, end
 
 
-def _metric_flags(parser: argparse.ArgumentParser) -> None:
-    g = parser.add_argument_group("metric options")
-    g.add_argument("--tensor-frames", type=int, default=30, help="frames per tensor (default 30)")
-    g.add_argument("--window-radius", type=int, default=5, help="correlation window radius d (default 5)")
-    g.add_argument("--window-sigma", type=float, default=1.5, help="Gaussian window sigma (default 1.5)")
-    g.add_argument("--stability-c", type=float, default=4.5e-4, help="stabilizer C (default 4.5e-4)")
-    g.add_argument("--beta", type=float, default=1.0, help="pooling exponent (default 1.0)")
-    g.add_argument("--normalize", choices=NORMALIZATION_MODES, default="ref-max",
-                   help="plane normalization (default ref-max)")
-    g.add_argument("--center-dc", type=_parse_bool, default=True, metavar="BOOL",
-                   help="shift the zero-frequency bin to the plane center (default true)")
-    g.add_argument("--padding", choices=PADDING_MODES, default="mirror",
-                   help="window border policy (default mirror)")
+# each metric flag, the MetricConfig field it sets, its help, and its other
+# add_argument keywords; the default is the field's
+_METRIC_FLAGS = {
+    "--tensor-frames": ("tensor_len", "frames per tensor", {"type": int}),
+    "--window-radius": ("window_radius", "correlation window radius d", {"type": int}),
+    "--window-sigma": ("window_sigma", "Gaussian window sigma", {"type": float}),
+    "--stability-c": ("stability_c", "stabilizer C", {"type": float}),
+    "--beta": ("beta", "pooling exponent", {"type": float}),
+    "--normalize": ("plane_normalization", "plane normalization", {"choices": NORMALIZATION_MODES}),
+    "--center-dc": ("center_dc", "shift the zero-frequency bin to the plane center",
+                    {"type": _parse_bool, "metavar": "BOOL"}),
+    "--padding": ("padding", "window border policy", {"choices": PADDING_MODES}),
+}
+
+
+def _metric_flags(parser: argparse._ActionsContainer, flags=tuple(_METRIC_FLAGS)) -> None:
+    for flag in flags:
+        name, text, kwargs = _METRIC_FLAGS[flag]
+        default = getattr(MetricConfig(), name)
+        parser.add_argument(flag, default=default, help=f"{text} (default %(default)s)", **kwargs)
 
 
 def _config_from_args(args: argparse.Namespace) -> MetricConfig:
-    return MetricConfig(
-        tensor_len=args.tensor_frames,
-        window_radius=args.window_radius,
-        window_sigma=args.window_sigma,
-        stability_c=args.stability_c,
-        beta=args.beta,
-        plane_normalization=args.normalize,
-        center_dc=args.center_dc,
-        padding=args.padding,
-    )
+    # argparse's dest of "--tensor-frames" is "tensor_frames"
+    dests = {name: flag[2:].replace("-", "_") for flag, (name, _, _) in _METRIC_FLAGS.items()}
+    return MetricConfig(**{name: getattr(args, dest) for name, dest in dests.items()})
 
 
 def _emit(fh: TextIO, record: dict) -> None:
@@ -140,9 +147,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
             "dist": args.dist,
             "config": dataclasses.asdict(cfg),
         })
-        timings = {"read": read_seconds, **report.timings}
-        for stage in ("read", "transform", "correlate", "pool"):
-            _emit(out, {"record": "timing", "stage": stage, "seconds": timings[stage]})
+        for stage, seconds in {"read": read_seconds, **report.timings}.items():
+            _emit(out, {"record": "timing", "stage": stage, "seconds": seconds})
     total = read_seconds + sum(report.timings.values())
     print(
         f"score {report.video_score:.6f} over {len(report.tensor_scores)} tensor(s) "
@@ -153,14 +159,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _report_dict(report) -> dict:
-    return {
-        "pcc": report.pcc,
-        "scc": report.scc,
-        "n": report.n,
-        "per_tag": {
-            tag: {"pcc": s.pcc, "scc": s.scc, "n": s.n} for tag, s in report.per_tag.items()
-        },
-    }
+    return {k: v for k, v in dataclasses.asdict(report).items() if k != "failures"}
 
 
 _ORIENTATION_NOTE = (
@@ -215,14 +214,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.pattern == "edge-static":
-        frames = make_edge_sequence(args.width, args.height, motion=False)
-    elif args.pattern == "edge-moving":
-        frames = make_edge_sequence(args.width, args.height, motion=True)
-    elif args.pattern == "noise":
-        frames = make_noise_sequence(args.width, args.height, args.count, args.seed)
-    else:
-        frames = make_moving_texture(args.width, args.height, args.count, args.seed)
+    frames = PATTERNS[args.pattern](args)
 
     distortion = None
     if args.distort:
@@ -273,28 +265,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Full-reference video quality scoring from tempospatial power spectra",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, default=None,
+                         help="FFT worker threads; the correlation map's one extra thread is fixed")
 
-    score = sub.add_parser("score", help="score one distorted video against its reference")
+    score = sub.add_parser("score", parents=[threads],
+                           help="score one distorted video against its reference")
     score.add_argument("--ref", required=True, help="reference YUV 4:2:0 file")
     score.add_argument("--dist", required=True, help="distorted YUV 4:2:0 file")
     score.add_argument("--width", type=int, required=True)
     score.add_argument("--height", type=int, required=True)
     score.add_argument("--frames", type=_parse_frames, default=None, metavar="START:END",
                        help="inclusive frame range to score")
-    score.add_argument("--threads", type=int, default=None,
-                       help="FFT worker threads; the correlation map's one extra thread is fixed")
     score.add_argument("--out", default=None, help="write structured records here instead of stdout")
     score.add_argument("--dump-zeta", default=None, metavar="PREFIX",
                        help="write each tensor's correlation map as PREFIX.tensorNNN.grid")
-    _metric_flags(score)
+    _metric_flags(score.add_argument_group("metric options"))
     score.set_defaults(func=_cmd_score)
 
-    ev = sub.add_parser("evaluate", help="batch-evaluate a manifest against DMOS labels")
+    ev = sub.add_parser("evaluate", parents=[threads],
+                        help="batch-evaluate a manifest against DMOS labels")
     ev.add_argument("--manifest", required=True, help="CSV manifest path")
-    ev.add_argument("--threads", type=int, default=None,
-                       help="FFT worker threads; the correlation map's one extra thread is fixed")
     ev.add_argument("--out", default=None, help="write the JSON report here")
-    _metric_flags(ev)
+    _metric_flags(ev.add_argument_group("metric options"))
     ev.set_defaults(func=_cmd_evaluate)
 
     gen = sub.add_parser("generate", help="write synthetic YUV 4:2:0 fixtures")
@@ -310,14 +303,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--level", type=float, default=None, help="distortion level")
     gen.set_defaults(func=_cmd_generate)
 
-    dump = sub.add_parser("dump-tpsd", help="export aggregated PSD planes as grid files")
+    dump = sub.add_parser("dump-tpsd", parents=[threads],
+                          help="export aggregated PSD planes as grid files")
     dump.add_argument("--ref", required=True, help="input YUV 4:2:0 file")
     dump.add_argument("--width", type=int, required=True)
     dump.add_argument("--height", type=int, required=True)
-    dump.add_argument("--tensor-frames", type=int, default=30)
-    dump.add_argument("--center-dc", type=_parse_bool, default=True, metavar="BOOL")
+    _metric_flags(dump, ("--tensor-frames", "--center-dc"))
     dump.add_argument("--frames", type=_parse_frames, default=None, metavar="START:END")
-    dump.add_argument("--threads", type=int, default=None)
     dump.add_argument("--out", required=True, metavar="PREFIX",
                       help="grid files are written as PREFIX.tensorNNN.grid")
     dump.set_defaults(func=_cmd_dump_tpsd)
@@ -331,8 +323,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         # scipy.fft's default worker count, which every rfft2 call reads
         with contextlib.nullcontext() if threads is None else scipy.fft.set_workers(threads):
-            return args.func(args)
-    except (VqaError, ValueError, OSError) as exc:
+            code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone, which is no input error: say nothing,
+        # and point stdout at devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except REPORTED_ERRORS as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

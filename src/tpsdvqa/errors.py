@@ -50,3 +50,7 @@ class ConstantInput(VqaError):
 
 class EmptyManifest(VqaError):
     """The dataset manifest contains no entries."""
+
+
+# the errors the CLI prints, and an evaluate entry records, as one line
+REPORTED_ERRORS = (VqaError, ValueError, OSError)

@@ -35,7 +35,7 @@ from .errors import (
     EmptyManifest,
     FrameCountMismatch,
     LengthMismatch,
-    VqaError,
+    REPORTED_ERRORS,
 )
 from .metric import MetricConfig, assess, tensor_bounds, video_score
 from .video_io import LumaFrame, read_yuv420_file
@@ -120,8 +120,8 @@ class CorrelationReport:
 
     pcc: float | None
     scc: float | None
-    per_tag: dict[str, TagStats]
     n: int
+    per_tag: dict[str, TagStats]
     failures: tuple[EntryResult, ...] = ()
 
 
@@ -286,7 +286,7 @@ def _score_group(
     first = entries[indices[0]]
     try:
         ref_frames = read_yuv420_file(first.ref_path, first.width, first.height)
-    except (VqaError, OSError, ValueError) as exc:
+    except REPORTED_ERRORS as exc:
         return {i: _failed(i, entries[i], exc) for i in indices}
     frame_range = first.frame_range(len(ref_frames))
     done: dict[int, EntryResult] = {}
@@ -298,7 +298,7 @@ def _score_group(
             dist_frames = read_yuv420_file(entry.dist_path, entry.width, entry.height)
             bounds = tensor_bounds(ref_frames, dist_frames, cfg.tensor_len, frame_range)
             live[i] = (dist_frames, [])
-        except (VqaError, OSError, ValueError) as exc:
+        except REPORTED_ERRORS as exc:
             done[i] = _failed(i, entry, exc)
     # each tensor is scored on its own and pooled below with the real beta,
     # so a negative tensor score cannot raise NegativeBase on its own
@@ -311,7 +311,7 @@ def _score_group(
                     ref_frames, dist_frames, per_tensor, (lo, hi), ref_planes=ref_planes
                 )
                 scores.extend(report.tensor_scores)
-            except (VqaError, OSError, ValueError) as exc:
+            except REPORTED_ERRORS as exc:
                 done[i] = _failed(i, entries[i], exc)
                 del live[i]
     lo, hi = frame_range or (0, len(ref_frames) - 1)
@@ -320,7 +320,7 @@ def _score_group(
             score = video_score(scores, cfg.beta)
             psnr_db = psnr(ref_frames[lo : hi + 1], dist_frames[lo : hi + 1])
             done[i] = EntryResult(index=i, entry=entries[i], score=score, psnr_db=psnr_db)
-        except (VqaError, OSError, ValueError) as exc:
+        except REPORTED_ERRORS as exc:
             done[i] = _failed(i, entries[i], exc)
     return done
 

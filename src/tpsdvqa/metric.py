@@ -19,12 +19,11 @@ for experimentation.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 import scipy.fft
@@ -251,12 +250,9 @@ def zeta_map(
     is bit-identical to one computed from whole-plane moments, while the
     transient memory is a few slabs instead of five planes.
 
-    A plane of more than one band has its odd bands computed on a worker
-    thread while the calling thread computes the even ones; each band
-    writes only its own rows, and the thread is joined before ``zeta_map``
-    returns. An error on the calling thread wins over the worker's. This
-    thread is not configurable: the CLI's ``--threads`` sets only the
-    ``scipy.fft`` workers of the plane transforms.
+    A plane of more than one band has its even bands computed on the
+    calling thread and its odd ones on a worker, as ``_on_two_threads``
+    runs them; each band writes only its own rows.
     """
     _require_finite_positive("stability constant", c)
     x, y, keep = _plane_pair(ref, dist, window, padding)
@@ -269,28 +265,26 @@ def zeta_map(
     slab_shape = (min(m, ZETA_BAND_ROWS + 2 * d), x.shape[1])
     caller_work = _workspace(slab_shape)
 
-    def band(work: list[np.ndarray], start: int) -> None:
-        stop = min(start + ZETA_BAND_ROWS, m)
-        lo, hi = max(0, start - d), min(m, stop + d)
-        slab = [w[: hi - lo] for w in work]
-        _, _, sigma_x, sigma_y, cov = _moments(x[lo:hi], y[lo:hi], window, slab)
-        rows = slice(start - lo, stop - lo)
-        # (cov + c) / (sigma_x * sigma_y + c), computed in place
-        out = np.add(cov[rows], c, out=zeta[start:stop])
-        den = np.multiply(sigma_x[rows], sigma_y[rows], out=sigma_x[rows])
-        den += c
-        out /= den
+    def bands(work: list[np.ndarray], band_starts: range) -> None:
+        for start in band_starts:
+            stop = min(start + ZETA_BAND_ROWS, m)
+            lo, hi = max(0, start - d), min(m, stop + d)
+            slab = [w[: hi - lo] for w in work]
+            _, _, sigma_x, sigma_y, cov = _moments(x[lo:hi], y[lo:hi], window, slab)
+            rows = slice(start - lo, stop - lo)
+            # (cov + c) / (sigma_x * sigma_y + c), computed in place
+            out = np.add(cov[rows], c, out=zeta[start:stop])
+            den = np.multiply(sigma_x[rows], sigma_y[rows], out=sigma_x[rows])
+            den += c
+            out /= den
 
     if len(starts) == 1:
-        band(caller_work, 0)
+        bands(caller_work, starts)
     else:
         worker_work = _workspace(slab_shape)
-        # leaving the pool waits for the odd bands, so a caller error still wins
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            odd = pool.map(functools.partial(band, worker_work), starts[1::2])
-            for start in starts[::2]:
-                band(caller_work, start)
-            list(odd)
+        _on_two_threads(
+            lambda: bands(caller_work, starts[::2]), lambda: bands(worker_work, starts[1::2])
+        )
     # a copy, not a view: np.mean sums a strided view in another order
     return np.ascontiguousarray(zeta[keep])
 
@@ -343,10 +337,23 @@ def tensor_bounds(
     return group_tensors(len(ref_frames), tensor_len, frame_range)
 
 
-def _plane(tensor: Sequence[LumaFrame], center_dc: bool, workers: int) -> np.ndarray:
-    """``tpsd_of_tensor`` under the caller's FFT worker count, which is per thread."""
-    with scipy.fft.set_workers(workers):
-        return tpsd_of_tensor(tensor, center_dc)
+def _on_two_threads(here: Callable[[], Any], there: Callable[[], Any]) -> tuple[Any, Any]:
+    """``(here(), there())``, with ``there`` run on one worker thread meanwhile.
+
+    ``here`` runs on the calling thread. The worker runs under the caller's
+    ``scipy.fft`` worker count, which is per thread, and is joined before
+    the call returns, so an error from ``here`` wins over one from ``there``.
+    """
+    workers = scipy.fft.get_workers()
+
+    def run_there() -> Any:
+        with scipy.fft.set_workers(workers):
+            return there()
+
+    # leaving the pool joins the worker, also when here() raises
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pending = pool.submit(run_there)
+        return here(), pending.result()
 
 
 def assess(
@@ -363,11 +370,10 @@ def assess(
     aggregated PSD planes, normalized, correlated, and pooled; tensors are
     paired strictly by position (temporal alignment is assumed). Each tensor
     is a slice of the input, so a ``FileFrames`` input is read frame by frame.
-    A tensor's distorted plane is computed on a worker thread while the
-    calling thread computes its reference plane, both with the caller's
-    ``scipy.fft`` worker count; the thread is joined before ``assess`` returns.
-    A tensor whose reference plane ``ref_planes`` already holds has its
-    distorted plane computed on the calling thread, and starts no thread.
+    A tensor's reference plane is computed on the calling thread and its
+    distorted plane on a worker, as ``_on_two_threads`` runs them. A tensor
+    whose reference plane ``ref_planes`` already holds has its distorted
+    plane computed on the calling thread, and starts no thread.
     ``zeta_callback`` receives each tensor's index and correlation map (the
     2D array ``zeta_map`` returns) as it is produced.
 
@@ -386,42 +392,37 @@ def assess(
     first = ref_frames if isinstance(ref_frames, FileFrames) else ref_frames[bounds[0][0]]
     _check_plane_size((first.height, first.width), 2 * cfg.window_radius + 1)
     window = gaussian_window(cfg.window_radius, cfg.window_sigma)
-    workers = scipy.fft.get_workers()
 
     timings = {"transform": 0.0, "correlate": 0.0, "pool": 0.0}
     scores: list[float] = []
     depths: list[int] = []
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        for index, (lo, hi) in enumerate(bounds):
-            t0 = time.perf_counter()
-            dist_tensor = dist_frames[lo : hi + 1]
-            if ref_planes is not None and index < len(ref_planes):
-                # one plane is left to compute, so this thread computes it and
-                # no worker starts
-                plane_r = ref_planes[index]
-                plane_d = tpsd_of_tensor(dist_tensor, cfg.center_dc)
-            else:
-                # the distorted plane runs on the pool's thread while this
-                # thread computes the reference plane; a reference error still
-                # wins, as leaving the pool waits for the distorted side
-                pending = pool.submit(_plane, dist_tensor, cfg.center_dc, workers)
-                plane_r = tpsd_of_tensor(ref_frames[lo : hi + 1], cfg.center_dc)
-                if ref_planes is not None:
-                    ref_planes.append(plane_r)
-                plane_d = pending.result()
-                del pending  # the future holds the distorted plane too
-            t1 = time.perf_counter()
-            plane_r, plane_d = normalize_planes(plane_r, plane_d, cfg.plane_normalization)
-            zeta = zeta_map(plane_r, plane_d, window, cfg.stability_c, cfg.padding)
-            if zeta_callback is not None:
-                zeta_callback(index, zeta)
-            scores.append(tensor_score(zeta))
-            # so no uncached plane outlives its tensor
-            del plane_r, plane_d, zeta
-            t2 = time.perf_counter()
-            depths.append(hi - lo + 1)
-            timings["transform"] += t1 - t0
-            timings["correlate"] += t2 - t1
+    for index, (lo, hi) in enumerate(bounds):
+        t0 = time.perf_counter()
+        dist_tensor = dist_frames[lo : hi + 1]
+        if ref_planes is not None and index < len(ref_planes):
+            # one plane is left to compute, so this thread computes it and
+            # no worker starts
+            plane_r = ref_planes[index]
+            plane_d = tpsd_of_tensor(dist_tensor, cfg.center_dc)
+        else:
+            plane_r, plane_d = _on_two_threads(
+                lambda: tpsd_of_tensor(ref_frames[lo : hi + 1], cfg.center_dc),
+                lambda: tpsd_of_tensor(dist_tensor, cfg.center_dc),
+            )
+            if ref_planes is not None:
+                ref_planes.append(plane_r)
+        t1 = time.perf_counter()
+        plane_r, plane_d = normalize_planes(plane_r, plane_d, cfg.plane_normalization)
+        zeta = zeta_map(plane_r, plane_d, window, cfg.stability_c, cfg.padding)
+        if zeta_callback is not None:
+            zeta_callback(index, zeta)
+        scores.append(tensor_score(zeta))
+        # so no uncached plane outlives its tensor
+        del plane_r, plane_d, zeta
+        t2 = time.perf_counter()
+        depths.append(hi - lo + 1)
+        timings["transform"] += t1 - t0
+        timings["correlate"] += t2 - t1
 
     t3 = time.perf_counter()
     pooled = video_score(scores, cfg.beta)

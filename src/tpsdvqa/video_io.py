@@ -187,10 +187,12 @@ def group_tensors(
     start, end = 0, frame_count - 1
     if frame_range is not None:
         start, end = frame_range
-        if start < 0 or end >= frame_count or start > end:
+        if start < 0 or end >= frame_count:
             raise ValueError(
                 f"frame range {start}:{end} outside sequence of {frame_count} frames"
             )
+        if start > end:
+            raise ValueError(f"frame range {start}:{end} ends before it starts")
     selected = end - start + 1
     if selected < 2:
         raise EmptySelection(

@@ -1,5 +1,7 @@
 import builtins
+import dataclasses
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -193,6 +195,17 @@ class TestScore:
         )
         assert code == 1
         assert err == "error: ValueError: frame range 5:30 outside sequence of 24 frames\n"
+
+    def test_reversed_frame_range_diagnostic(self, capsys, clip_pair):
+        ref_path, dist_path = clip_pair
+        code, out, err = run_cli(
+            capsys,
+            ["score", "--ref", str(ref_path), "--dist", str(dist_path), "--frames", "5:2"]
+            + SMALL,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: ValueError: frame range 5:2 ends before it starts\n"
 
     def test_memory_does_not_grow_with_clip_length(self, capsys, tmp_path):
         # frames are decoded one at a time, so the traced peak of a 120-frame
@@ -595,6 +608,74 @@ class TestThreads:
         assert opened == []
 
 
+class TestSettings:
+    """Every metric setting is declared once, with ``MetricConfig``'s default."""
+
+    NON_DEFAULT = {
+        "--tensor-frames": "7",
+        "--window-radius": "3",
+        "--window-sigma": "2.5",
+        "--stability-c": "0.001",
+        "--beta": "2",
+        "--normalize": "log10",
+        "--center-dc": "false",
+        "--padding": "valid",
+    }
+    REQUIRED = {
+        "score": ["--ref", "r", "--dist", "d", "--width", "2", "--height", "2"],
+        "evaluate": ["--manifest", "m"],
+        "generate": ["--out", "o", "--width", "2", "--height", "2"],
+        "dump-tpsd": ["--ref", "r", "--width", "2", "--height", "2", "--out", "o"],
+    }
+
+    def _parse(self, command, extra=()):
+        argv = [command] + self.REQUIRED[command] + list(extra)
+        return tpsdvqa.cli.build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("command", ["score", "evaluate", "dump-tpsd"])
+    def test_no_metric_flags_give_the_config_defaults(self, command):
+        args = self._parse(command)
+        defaults = MetricConfig()
+        assert (args.tensor_frames, args.center_dc) == (defaults.tensor_len, defaults.center_dc)
+        if command != "dump-tpsd":
+            assert tpsdvqa.cli._config_from_args(args) == defaults
+
+    @pytest.mark.parametrize("command", ["score", "evaluate"])
+    def test_every_config_field_has_exactly_one_flag(self, command):
+        assert set(tpsdvqa.cli._METRIC_FLAGS) == set(self.NON_DEFAULT)
+        defaults = dataclasses.asdict(MetricConfig())
+        set_by = {}
+        for flag, value in self.NON_DEFAULT.items():
+            config = dataclasses.asdict(
+                tpsdvqa.cli._config_from_args(self._parse(command, [flag, value]))
+            )
+            changed = [name for name in config if config[name] != defaults[name]]
+            assert len(changed) == 1, (flag, changed)
+            set_by.setdefault(changed[0], []).append(flag)
+        assert sorted(set_by) == sorted(defaults)
+        assert all(len(flags) == 1 for flags in set_by.values()), set_by
+
+    @pytest.mark.parametrize(
+        "command, fields",
+        [
+            ("score", [f.name for f in dataclasses.fields(MetricConfig)]),
+            ("evaluate", [f.name for f in dataclasses.fields(MetricConfig)]),
+            ("generate", []),
+            ("dump-tpsd", ["tensor_len", "center_dc"]),
+        ],
+        ids=["score", "evaluate", "generate", "dump-tpsd"],
+    )
+    def test_help_prints_each_default(self, capsys, command, fields):
+        # argparse fills %(default)s only when it formats the help
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for name in fields:
+            assert f"(default {getattr(MetricConfig(), name)})" in text, name
+        assert text.count("(default ") == len(fields)
+
+
 class TestEntryPoint:
     def test_module_invocation(self, clip_pair):
         ref_path, _ = clip_pair
@@ -617,6 +698,28 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_exits_1_without_a_diagnostic(self, clip_pair, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        ref_path, dist_path = clip_pair
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "tpsdvqa.cli", "score", "--ref", str(ref_path),
+             "--dist", str(dist_path)] + SMALL,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+        )
+        # the reader goes away before any record is written, as `| head -1` can
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        for text in ("error:", "Traceback", "Exception ignored"):
+            assert text not in err
 
     def test_usage_error_exit_code(self):
         proc = subprocess.run(

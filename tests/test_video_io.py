@@ -243,6 +243,8 @@ class TestGroupTensors:
             group_tensors(10, 5, frame_range=(-1, 5))
         with pytest.raises(ValueError):
             group_tensors(10, 5, frame_range=(7, 3))
+        with pytest.raises(ValueError, match=r"^frame range 5:2 ends before it starts$"):
+            group_tensors(8, 4, frame_range=(5, 2))
 
     @settings(deadline=None, max_examples=60)
     @given(
