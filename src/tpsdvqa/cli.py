@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     threads = argparse.ArgumentParser(add_help=False)
     threads.add_argument("--threads", type=int, default=None,
-                         help="FFT worker threads; the correlation map's one extra thread is fixed")
+                         help="FFT worker threads; the one extra worker thread is fixed")
 
     score = sub.add_parser("score", parents=[threads],
                            help="score one distorted video against its reference")

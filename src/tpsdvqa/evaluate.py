@@ -25,7 +25,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .errors import (
     LengthMismatch,
     REPORTED_ERRORS,
 )
+from . import metric
 from .metric import MetricConfig, assess, tensor_bounds, video_score
 from .video_io import LumaFrame, read_yuv420_file
 
@@ -258,12 +259,18 @@ def score_manifest(
     Entries that share a reference clip, geometry and frame range form a
     group; groups run in the order of their first entries. A group opens its
     reference once and walks its tensors in order: each reference tensor is
-    transformed once, on the first entry that gets that far, and every entry
-    of the group is scored against that one plane before the next tensor.
-    Memory thus holds one reference plane, whatever the clip length or the
-    group size. A reference that cannot be opened fails every entry of its
-    group. Results come back in manifest order. A manifest without entries
-    raises EmptyManifest.
+    transformed once, by ``assess`` on the first entry that gets that far
+    (its distorted plane on a worker thread), and every entry of the group
+    is scored against that one plane before the next tensor. The other
+    entries' distorted planes are computed two at a time, on the calling
+    thread and one worker as ``metric._on_two_threads`` runs them, and each
+    pair is scored on the calling thread after the join; the entries' PSNRs
+    are then taken two at a time the same way. Memory thus holds one
+    reference plane and two distorted ones, whatever the clip length or the
+    group size. A failure fails only its own entry, and a reference that
+    cannot be opened fails every entry of its group. Results come back in
+    manifest order, equal to scoring each entry on its own. A manifest
+    without entries raises EmptyManifest.
     """
     if not entries:
         raise EmptyManifest("manifest has no entries")
@@ -276,6 +283,44 @@ def score_manifest(
     for indices in groups.values():
         results.update(_score_group(entries, indices, cfg))
     return [results[i] for i in range(len(entries))]
+
+
+def _attempt(fn: Callable[[], Any]) -> tuple[Any, Exception | None]:
+    """``(fn(), None)``, or ``(None, error)`` for an error reported per entry."""
+    try:
+        return fn(), None
+    except REPORTED_ERRORS as exc:
+        return None, exc
+
+
+def _two_at_once(fn: Callable[[Any], Any], args: Sequence[Any]) -> list[tuple[Any, Any]]:
+    """``_attempt`` of ``fn(arg)`` for each of one or two ``args``.
+
+    Of two, the first runs on the calling thread and the second on a worker,
+    as ``metric._on_two_threads`` runs them; each keeps its own failure.
+    """
+    calls = [lambda arg=arg: _attempt(lambda: fn(arg)) for arg in args]
+    return list(metric._on_two_threads(*calls)) if len(calls) == 2 else [calls[0]()]
+
+
+def _pair_scores(
+    ref_plane: np.ndarray, tensors: Sequence[Sequence[LumaFrame]], cfg: MetricConfig
+) -> list[tuple[Any, Exception | None]]:
+    """The outcomes of scoring one or two distorted tensors against a reference plane.
+
+    Their planes are computed by ``_two_at_once``, then scored here one after
+    the other, each freed once normalized: memory holds the reference plane
+    and two distorted ones, whatever the group size.
+    """
+    window = metric.gaussian_window(cfg.window_radius, cfg.window_sigma)
+    outcomes = _two_at_once(
+        lambda tensor: [ref_plane, metric.tpsd_of_tensor(tensor, cfg.center_dc)], tensors
+    )
+    return [
+        _attempt(lambda: metric._plane_score(planes, window, cfg))
+        if exc is None else (None, exc)
+        for planes, exc in outcomes
+    ]
 
 
 def _score_group(
@@ -300,28 +345,50 @@ def _score_group(
             live[i] = (dist_frames, [])
         except REPORTED_ERRORS as exc:
             done[i] = _failed(i, entry, exc)
+
+    def record(i: int, tensor_scores: Sequence[float], exc: Exception | None) -> None:
+        if exc is None:
+            live[i][1].extend(tensor_scores)
+        else:
+            done[i] = _failed(i, entries[i], exc)
+            del live[i]
+
     # each tensor is scored on its own and pooled below with the real beta,
     # so a negative tensor score cannot raise NegativeBase on its own
     per_tensor = replace(cfg, beta=1.0)
     for lo, hi in bounds:
         ref_planes: list[np.ndarray] = []  # this tensor's plane, once computed
-        for i, (dist_frames, scores) in list(live.items()):
-            try:
-                report = assess(
-                    ref_frames, dist_frames, per_tensor, (lo, hi), ref_planes=ref_planes
-                )
-                scores.extend(report.tensor_scores)
-            except REPORTED_ERRORS as exc:
-                done[i] = _failed(i, entries[i], exc)
-                del live[i]
+        queue = list(live)
+        # assess brings in the reference plane with the first entry, and
+        # with each next one for as long as that plane is missing
+        while queue and not ref_planes:
+            i = queue.pop(0)
+            tensor_scores, exc = _attempt(lambda: assess(
+                ref_frames, live[i][0], per_tensor, (lo, hi), ref_planes=ref_planes
+            ).tensor_scores)
+            record(i, tensor_scores, exc)
+        # the rest go two at a time, each pair's planes on two threads
+        for k in range(0, len(queue), 2):
+            pair = queue[k : k + 2]
+            tensors = [live[i][0][lo : hi + 1] for i in pair]
+            for i, (score, exc) in zip(pair, _pair_scores(ref_planes[0], tensors, per_tensor)):
+                record(i, [score], exc)
     lo, hi = frame_range or (0, len(ref_frames) - 1)
-    for i, (dist_frames, scores) in live.items():
-        try:
-            score = video_score(scores, cfg.beta)
-            psnr_db = psnr(ref_frames[lo : hi + 1], dist_frames[lo : hi + 1])
-            done[i] = EntryResult(index=i, entry=entries[i], score=score, psnr_db=psnr_db)
-        except REPORTED_ERRORS as exc:
-            done[i] = _failed(i, entries[i], exc)
+    ready = list(live)
+    for k in range(0, len(ready), 2):
+        pair = ready[k : k + 2]
+        measured = _two_at_once(
+            lambda i: psnr(ref_frames[lo : hi + 1], live[i][0][lo : hi + 1]), pair
+        )
+        for i, (psnr_db, psnr_exc) in zip(pair, measured):
+            # the pooled score's error comes first, as it would one entry at a time
+            score, exc = _attempt(lambda: video_score(live[i][1], cfg.beta))
+            if exc is None:
+                exc = psnr_exc
+            done[i] = (
+                _failed(i, entries[i], exc) if exc is not None
+                else EntryResult(index=i, entry=entries[i], score=score, psnr_db=psnr_db)
+            )
     return done
 
 

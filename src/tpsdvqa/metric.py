@@ -343,6 +343,12 @@ def _on_two_threads(here: Callable[[], Any], there: Callable[[], Any]) -> tuple[
     ``here`` runs on the calling thread. The worker runs under the caller's
     ``scipy.fft`` worker count, which is per thread, and is joined before
     the call returns, so an error from ``here`` wins over one from ``there``.
+
+    The benchmark's tracer keeps one span stack for all threads. It stays
+    consistent only if each side makes at most one call to a function the
+    tracer wraps, and that call makes no other: one ``tpsd_of_tensor`` or
+    one ``psnr`` per side, or ``zeta_map``'s bands, which make none. A whole
+    ``assess`` per side breaks it.
     """
     workers = scipy.fft.get_workers()
 
@@ -354,6 +360,28 @@ def _on_two_threads(here: Callable[[], Any], there: Callable[[], Any]) -> tuple[
     with ThreadPoolExecutor(max_workers=1) as pool:
         pending = pool.submit(run_there)
         return here(), pending.result()
+
+
+def _plane_score(
+    planes: list[np.ndarray],
+    window: np.ndarray,
+    cfg: MetricConfig,
+    on_zeta: Callable[[np.ndarray], None] | None = None,
+) -> float:
+    """One tensor's score from its raw ``[reference, distorted]`` planes:
+    normalize, ``zeta_map``, then ``tensor_score``; ``on_zeta`` receives the
+    map before it is pooled.
+
+    The list is emptied, so a raw plane that nothing else holds is freed as
+    soon as it is normalized.
+    """
+    plane_r, plane_d = planes
+    planes.clear()
+    plane_r, plane_d = normalize_planes(plane_r, plane_d, cfg.plane_normalization)
+    zeta = zeta_map(plane_r, plane_d, window, cfg.stability_c, cfg.padding)
+    if on_zeta is not None:
+        on_zeta(zeta)
+    return tensor_score(zeta)
 
 
 def assess(
@@ -379,11 +407,13 @@ def assess(
 
     ``ref_planes``, when given, caches the reference's per-tensor planes
     across calls: a plane it already holds (by tensor index) is reused, and
-    one it lacks is computed and appended. Pass the same list only to calls
-    on the same reference frames, ``frame_range`` and ``config``. The list
-    holds one plane per tensor of the range, so a cache over a whole clip
-    grows with its length; ``score_manifest`` passes one tensor's range at a
-    time and keeps one plane.
+    one it lacks is appended as soon as it is computed, before the wait for
+    the distorted plane, so a failing distorted plane does not lose it. Pass
+    the same list only to calls on the same reference frames,
+    ``frame_range`` and ``config``. The list holds one plane per tensor of
+    the range, so a cache over a whole clip grows with its length;
+    ``score_manifest`` passes one tensor's range at a time and keeps one
+    plane.
     """
     cfg = config or MetricConfig()
     bounds = tensor_bounds(ref_frames, dist_frames, cfg.tensor_len, frame_range)
@@ -402,23 +432,24 @@ def assess(
         if ref_planes is not None and index < len(ref_planes):
             # one plane is left to compute, so this thread computes it and
             # no worker starts
-            plane_r = ref_planes[index]
-            plane_d = tpsd_of_tensor(dist_tensor, cfg.center_dc)
+            planes = [ref_planes[index], tpsd_of_tensor(dist_tensor, cfg.center_dc)]
         else:
-            plane_r, plane_d = _on_two_threads(
-                lambda: tpsd_of_tensor(ref_frames[lo : hi + 1], cfg.center_dc),
-                lambda: tpsd_of_tensor(dist_tensor, cfg.center_dc),
-            )
-            if ref_planes is not None:
-                ref_planes.append(plane_r)
+
+            def reference_plane() -> np.ndarray:
+                plane = tpsd_of_tensor(ref_frames[lo : hi + 1], cfg.center_dc)
+                # cached before the wait, so a failing distorted plane
+                # leaves it to the next call
+                if ref_planes is not None:
+                    ref_planes.append(plane)
+                return plane
+
+            planes = list(_on_two_threads(
+                reference_plane, lambda: tpsd_of_tensor(dist_tensor, cfg.center_dc)
+            ))
         t1 = time.perf_counter()
-        plane_r, plane_d = normalize_planes(plane_r, plane_d, cfg.plane_normalization)
-        zeta = zeta_map(plane_r, plane_d, window, cfg.stability_c, cfg.padding)
-        if zeta_callback is not None:
-            zeta_callback(index, zeta)
-        scores.append(tensor_score(zeta))
-        # so no uncached plane outlives its tensor
-        del plane_r, plane_d, zeta
+        on_zeta = None if zeta_callback is None else lambda zeta: zeta_callback(index, zeta)
+        # the call empties planes, so no uncached plane outlives its tensor
+        scores.append(_plane_score(planes, window, cfg, on_zeta))
         t2 = time.perf_counter()
         depths.append(hi - lo + 1)
         timings["transform"] += t1 - t0

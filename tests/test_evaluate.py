@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import random_frames
 from oracles import average_ranks_direct, psnr_direct
+import tpsdvqa.evaluate
 import tpsdvqa.metric
 from tpsdvqa.errors import (
     ConstantInput,
@@ -670,6 +672,112 @@ class TestReferenceReuse:
                 ))
         peaks = []
         for subset in (entries[:2], entries[:2], entries):  # the first run warms up
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                results = score_manifest(subset, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+            assert all(r.error is None for r in results)
+        assert peaks[2] <= 1.1 * peaks[1], peaks
+
+
+class TestEntryPairs:
+    """Past the first entry of a tensor, a group's planes and PSNRs go two at a time."""
+
+    CFG = MetricConfig(tensor_len=8)  # 8 frames: 1 tensor
+
+    def entries(self, clips, *dists):
+        return tuple(
+            ManifestEntry(clips["A"], clips[d], 64, 48, dmos=float(i), tag="noise")
+            for i, d in enumerate(dists)
+        )
+
+    @staticmethod
+    def failing_for(monkeypatch, path):
+        """Make the transform raise for the tensors of one distorted clip."""
+        real = tpsdvqa.metric.tpsd_of_tensor
+
+        def failing(tensor, *args, **kwargs):
+            if tensor.path == path:
+                raise OSError(f"cannot read {os.path.basename(path)}")
+            return real(tensor, *args, **kwargs)
+
+        monkeypatch.setattr(tpsdvqa.metric, "tpsd_of_tensor", failing)
+
+    def test_a_failing_distorted_plane_keeps_the_reference_plane(
+        self, shared_refs, count_planes, monkeypatch
+    ):
+        # the failing entry comes first, so its assess call computes the
+        # reference plane; the next entry must not compute it again
+        self.failing_for(monkeypatch, shared_refs["A0"])
+        cfg = MetricConfig(tensor_len=4)  # 2 tensors
+        entries = self.entries(shared_refs, "A0", "A1", "A2")
+        results = score_manifest(entries, cfg)
+        assert [r.error for r in results] == ["OSError", None, None]
+        # per tensor: one reference plane and the two good entries' planes
+        assert len(count_planes) == 2 * (1 + 2)
+        assert results == [_per_entry(i, e, cfg) for i, e in enumerate(entries)]
+
+    def test_work_splits_over_the_caller_and_one_worker_at_a_time(
+        self, shared_refs, monkeypatch
+    ):
+        caller = threading.get_ident()
+        base = threading.active_count()
+        seen = {"plane": [], "psnr": []}
+
+        def watching(kind, real):
+            def call(*args, **kwargs):
+                seen[kind].append((threading.get_ident() == caller, threading.active_count()))
+                return real(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(
+            tpsdvqa.metric, "tpsd_of_tensor", watching("plane", tpsdvqa.metric.tpsd_of_tensor)
+        )
+        monkeypatch.setattr(tpsdvqa.evaluate, "psnr", watching("psnr", tpsdvqa.evaluate.psnr))
+        entries = self.entries(shared_refs, "A0", "A1", "A2", "A0", "A1")
+        results = score_manifest(entries, self.CFG)
+        assert all(r.error is None for r in results)
+        # the reference and four distorted planes in three forks: the first
+        # entry's assess call, then two pairs
+        assert sorted(seen["plane"]) == [(False, base + 1)] * 3 + [(True, base + 1)] * 3
+        # two pairs of PSNRs, then the odd entry alone on the caller
+        assert sorted(seen["psnr"]) == (
+            [(False, base + 1)] * 2 + [(True, base)] + [(True, base + 1)] * 2
+        )
+        assert results == [_per_entry(i, e, self.CFG) for i, e in enumerate(entries)]
+
+    @pytest.mark.parametrize("failing", ["A1", "A2"])
+    def test_no_thread_outlives_the_call(self, shared_refs, monkeypatch, failing):
+        # entry 1 is the caller's side of the first pair and entry 2 the
+        # worker's; A1 and A2 are read by no other entry
+        base = threading.active_count()
+        self.failing_for(monkeypatch, shared_refs[failing])
+        dists = ("A0", "A1", "A2", "A0")
+        entries = self.entries(shared_refs, *dists)
+        results = score_manifest(entries, self.CFG)
+        assert [r.error for r in results] == [("OSError" if d == failing else None) for d in dists]
+        assert threading.active_count() == base
+        assert results == [_per_entry(i, e, self.CFG) for i, e in enumerate(entries)]
+
+    def test_memory_does_not_grow_with_group_size(self, tmp_path):
+        # the reference plane and one pair's two distorted planes are held at
+        # a time, so 7 entries on one reference peak like 3
+        cfg = MetricConfig(tensor_len=4)
+        ref = make_moving_texture(128, 96, 8, seed=3)
+        write_yuv420(ref, tmp_path / "r.yuv")
+        entries = []
+        for k in range(7):
+            dist = apply_distortion(ref, DistortionSpec("gaussian-noise", 4.0 + k, seed=k))
+            write_yuv420(dist, tmp_path / f"d{k}.yuv")
+            entries.append(ManifestEntry(
+                str(tmp_path / "r.yuv"), str(tmp_path / f"d{k}.yuv"), 128, 96,
+                dmos=float(k), tag="noise",
+            ))
+        peaks = []
+        for subset in (entries[:3], entries[:3], entries):  # the first run warms up
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]

@@ -99,3 +99,42 @@ def test_traced_score_over_threaded_zeta_bands(capsys, tmp_path):
     assert len(zeta_ids) == 2
     # a wrapped call from the worker would nest under the caller's open zeta span
     assert [s["name"] for s in tracer.spans if s["parent"] in zeta_ids] == []
+
+
+def test_traced_evaluate_over_entry_pairs(capsys, tmp_path):
+    # the tracer keeps one span stack, so each side of a fork may make one
+    # wrapped call that makes no other; 5 entries on one reference give two
+    # plane pairs per tensor after the first entry, and two PSNR pairs and a
+    # lone PSNR
+    ref = make_moving_texture(64, 48, 6, seed=1)
+    write_yuv420(ref, tmp_path / "ref.yuv")
+    rows = ["ref_path,dist_path,width,height,dmos,tag"]
+    for i in range(5):
+        write_yuv420(
+            apply_distortion(ref, DistortionSpec("gaussian-noise", 4.0 * (i + 1), seed=2)),
+            tmp_path / f"d{i}.yuv",
+        )
+        rows.append(f"ref.yuv,d{i}.yuv,64,48,{i + 1}.0,noise")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+    was_tracing = tracemalloc.is_tracing()
+    tracer = Tracer()
+    try:
+        tracer.install()
+        code = tpsdvqa.cli.main(
+            ["evaluate", "--manifest", str(manifest), "--tensor-frames", "3"]
+        )
+    finally:
+        tracer.uninstall()
+        if not was_tracing:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    tensors = 2
+    for name, calls in (
+        ("spectral.plane", 6 * tensors), ("evaluate.psnr", 5), ("metric.assess", tensors),
+    ):
+        assert len([s for s in tracer.spans if s["name"] == name]) == calls, name
+    # every span was closed
+    assert all("end" in s and "peak_bytes" in s for s in tracer.spans)
