@@ -248,7 +248,8 @@ def zeta_map(
     clipped at the plane edges. Every band row's window then reads the same
     rows, or the same mirrored plane edge, as on the whole plane, so the map
     is bit-identical to one computed from whole-plane moments, while the
-    transient memory is a few slabs instead of five planes.
+    transient memory is a few slabs instead of the seven planes of a
+    whole-plane ``_workspace``.
 
     A plane of more than one band has its even bands computed on the
     calling thread and its odd ones on a worker, as ``_on_two_threads``
@@ -399,21 +400,14 @@ def assess(
     paired strictly by position (temporal alignment is assumed). Each tensor
     is a slice of the input, so a ``FileFrames`` input is read frame by frame.
     A tensor's reference plane is computed on the calling thread and its
-    distorted plane on a worker, as ``_on_two_threads`` runs them. A tensor
-    whose reference plane ``ref_planes`` already holds has its distorted
-    plane computed on the calling thread, and starts no thread.
+    distorted plane on a worker, as ``_on_two_threads`` runs them.
     ``zeta_callback`` receives each tensor's index and correlation map (the
     2D array ``zeta_map`` returns) as it is produced.
 
-    ``ref_planes``, when given, caches the reference's per-tensor planes
-    across calls: a plane it already holds (by tensor index) is reused, and
-    one it lacks is appended as soon as it is computed, before the wait for
-    the distorted plane, so a failing distorted plane does not lose it. Pass
-    the same list only to calls on the same reference frames,
-    ``frame_range`` and ``config``. The list holds one plane per tensor of
-    the range, so a cache over a whole clip grows with its length;
-    ``score_manifest`` passes one tensor's range at a time and keeps one
-    plane.
+    ``ref_planes``, when given, receives each tensor's reference plane as
+    soon as it is computed, before the wait for the distorted plane, so a
+    failing distorted plane does not lose it. ``assess`` only appends to
+    the list and never reads it.
     """
     cfg = config or MetricConfig()
     bounds = tensor_bounds(ref_frames, dist_frames, cfg.tensor_len, frame_range)
@@ -429,26 +423,19 @@ def assess(
     for index, (lo, hi) in enumerate(bounds):
         t0 = time.perf_counter()
         dist_tensor = dist_frames[lo : hi + 1]
-        if ref_planes is not None and index < len(ref_planes):
-            # one plane is left to compute, so this thread computes it and
-            # no worker starts
-            planes = [ref_planes[index], tpsd_of_tensor(dist_tensor, cfg.center_dc)]
-        else:
 
-            def reference_plane() -> np.ndarray:
-                plane = tpsd_of_tensor(ref_frames[lo : hi + 1], cfg.center_dc)
-                # cached before the wait, so a failing distorted plane
-                # leaves it to the next call
-                if ref_planes is not None:
-                    ref_planes.append(plane)
-                return plane
+        def reference_plane() -> np.ndarray:
+            plane = tpsd_of_tensor(ref_frames[lo : hi + 1], cfg.center_dc)
+            if ref_planes is not None:
+                ref_planes.append(plane)
+            return plane
 
-            planes = list(_on_two_threads(
-                reference_plane, lambda: tpsd_of_tensor(dist_tensor, cfg.center_dc)
-            ))
+        planes = list(_on_two_threads(
+            reference_plane, lambda: tpsd_of_tensor(dist_tensor, cfg.center_dc)
+        ))
         t1 = time.perf_counter()
         on_zeta = None if zeta_callback is None else lambda zeta: zeta_callback(index, zeta)
-        # the call empties planes, so no uncached plane outlives its tensor
+        # the call empties planes, so only ref_planes keeps one past its tensor
         scores.append(_plane_score(planes, window, cfg, on_zeta))
         t2 = time.perf_counter()
         depths.append(hi - lo + 1)

@@ -93,11 +93,8 @@ def write_grid(values: np.ndarray, dest: str | os.PathLike) -> None:
     values = np.asarray(values)
     if values.ndim != 2:
         raise ValueError(f"grid dump needs a 2D array, got {values.ndim}D")
-    with open(dest, "w", encoding="utf-8") as fh:
-        fh.write(f"{values.shape[0]} {values.shape[1]}\n")
-        for row in values:
-            fh.write(" ".join(format(v, ".17g") for v in row))
-            fh.write("\n")
+    rows, cols = values.shape
+    np.savetxt(dest, values, fmt="%.17g", header=f"{rows} {cols}", comments="")
 
 
 def read_grid(source: str | os.PathLike) -> np.ndarray:

@@ -720,6 +720,25 @@ class TestEntryPairs:
         assert len(count_planes) == 2 * (1 + 2)
         assert results == [_per_entry(i, e, cfg) for i, e in enumerate(entries)]
 
+    def test_assess_gets_an_empty_list_and_leaves_one_plane(self, shared_refs, monkeypatch):
+        self.failing_for(monkeypatch, shared_refs["A0"])
+        real = tpsdvqa.evaluate.assess
+        seen = []
+
+        def watching(*args, ref_planes, **kwargs):
+            before = len(ref_planes)
+            try:
+                return real(*args, ref_planes=ref_planes, **kwargs)
+            finally:
+                seen.append((before, len(ref_planes)))
+
+        monkeypatch.setattr(tpsdvqa.evaluate, "assess", watching)
+        cfg = MetricConfig(tensor_len=4)  # 2 tensors
+        results = score_manifest(self.entries(shared_refs, "A0", "A1", "A2"), cfg)
+        assert [r.error for r in results] == ["OSError", None, None]
+        # one call per tensor: on A0 for the first, which fails it, then on A1
+        assert seen == [(0, 1), (0, 1)]
+
     def test_work_splits_over_the_caller_and_one_worker_at_a_time(
         self, shared_refs, monkeypatch
     ):

@@ -163,6 +163,22 @@ class TestGridFormat:
         header = path.read_text().splitlines()[0]
         assert header == "3 4"
 
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            (
+                np.array([[np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e10, 0.1]]),
+                "1 7\nnan inf -inf -0 4.9406564584124654e-324 10000000000 0.10000000000000001\n",
+            ),
+            (np.array([[1, -2, 0], [30, 400, -5000]]), "2 3\n1 -2 0\n30 400 -5000\n"),
+        ],
+        ids=["float-specials", "int"],
+    )
+    def test_golden_bytes(self, tmp_path, values, expected):
+        path = tmp_path / "plane.grid"
+        write_grid(values, path)
+        assert path.read_bytes() == expected.encode("ascii")
+
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "plane.grid"
         path.write_text("1 2\n0 1\n")
