@@ -24,8 +24,8 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .errors import (
     REPORTED_ERRORS,
 )
 from . import metric
-from .metric import MetricConfig, assess, tensor_bounds, video_score
+from .metric import MetricConfig, tensor_bounds, video_score
 from .video_io import LumaFrame, read_yuv420_file
 
 __all__ = [
@@ -238,7 +238,7 @@ def psnr(ref: Sequence[LumaFrame], dist: Sequence[LumaFrame]) -> float:
         if r.pixels.shape != d.pixels.shape:
             raise DimensionMismatch(f"frame shapes differ: {r.pixels.shape} vs {d.pixels.shape}")
         diff = np.subtract(r.pixels, d.pixels, dtype=np.float64)
-        total += float(np.dot(diff.ravel(), diff.ravel()))
+        total += float(np.einsum("ij,ij->", diff, diff))
         samples += diff.size
     mse = total / samples
     if mse == 0.0:
@@ -258,19 +258,18 @@ def score_manifest(
 
     Entries that share a reference clip, geometry and frame range form a
     group; groups run in the order of their first entries. A group opens its
-    reference once and walks its tensors in order: each reference tensor is
-    transformed once, by ``assess`` on the first entry that gets that far
-    (its distorted plane on a worker thread), and every entry of the group
-    is scored against that one plane before the next tensor. The other
-    entries' distorted planes are computed two at a time, on the calling
-    thread and one worker as ``metric._on_two_threads`` runs them, and each
-    pair is scored on the calling thread after the join; the entries' PSNRs
-    are then taken two at a time the same way. Memory thus holds one
+    reference once and walks its tensors in order. Per tensor, the reference
+    tensor and then each live entry's distorted tensor are transformed two at
+    a time, on the calling thread and one worker as
+    ``metric._on_two_threads`` runs them, so the reference is transformed
+    once and pairs with the first entry. Each distorted plane is scored
+    against it on the calling thread once its pair joins, and the entries'
+    PSNRs are then taken two at a time the same way. Memory thus holds one
     reference plane and two distorted ones, whatever the clip length or the
     group size. A failure fails only its own entry, and a reference that
-    cannot be opened fails every entry of its group. Results come back in
-    manifest order, equal to scoring each entry on its own. A manifest
-    without entries raises EmptyManifest.
+    cannot be opened, or whose plane fails, fails every entry still live in
+    its group. Results come back in manifest order, equal to scoring each
+    entry on its own. A manifest without entries raises EmptyManifest.
     """
     if not entries:
         raise EmptyManifest("manifest has no entries")
@@ -293,34 +292,20 @@ def _attempt(fn: Callable[[], Any]) -> tuple[Any, Exception | None]:
         return None, exc
 
 
-def _two_at_once(fn: Callable[[Any], Any], args: Sequence[Any]) -> list[tuple[Any, Any]]:
-    """``_attempt`` of ``fn(arg)`` for each of one or two ``args``.
+def _in_pairs(
+    fn: Callable[[Any], Any], args: Sequence[Any]
+) -> Iterator[tuple[Any, Exception | None]]:
+    """``_attempt`` of ``fn(arg)`` for each of ``args``, two at a time.
 
     Of two, the first runs on the calling thread and the second on a worker,
-    as ``metric._on_two_threads`` runs them; each keeps its own failure.
+    as ``metric._on_two_threads`` runs them, and each keeps its own failure;
+    a lone last one runs on the calling thread. A pair's outcomes are
+    yielded once it joins, and the next pair starts when the first of its
+    outcomes is asked for.
     """
-    calls = [lambda arg=arg: _attempt(lambda: fn(arg)) for arg in args]
-    return list(metric._on_two_threads(*calls)) if len(calls) == 2 else [calls[0]()]
-
-
-def _pair_scores(
-    ref_plane: np.ndarray, tensors: Sequence[Sequence[LumaFrame]], cfg: MetricConfig
-) -> list[tuple[Any, Exception | None]]:
-    """The outcomes of scoring one or two distorted tensors against a reference plane.
-
-    Their planes are computed by ``_two_at_once``, then scored here one after
-    the other, each freed once normalized: memory holds the reference plane
-    and two distorted ones, whatever the group size.
-    """
-    window = metric.gaussian_window(cfg.window_radius, cfg.window_sigma)
-    outcomes = _two_at_once(
-        lambda tensor: [ref_plane, metric.tpsd_of_tensor(tensor, cfg.center_dc)], tensors
-    )
-    return [
-        _attempt(lambda: metric._plane_score(planes, window, cfg))
-        if exc is None else (None, exc)
-        for planes, exc in outcomes
-    ]
+    for k in range(0, len(args), 2):
+        calls = [lambda arg=arg: _attempt(lambda: fn(arg)) for arg in args[k : k + 2]]
+        yield from (metric._on_two_threads(*calls) if len(calls) == 2 else [calls[0]()])
 
 
 def _score_group(
@@ -346,49 +331,58 @@ def _score_group(
         except REPORTED_ERRORS as exc:
             done[i] = _failed(i, entry, exc)
 
-    def record(i: int, tensor_scores: Sequence[float], exc: Exception | None) -> None:
+    def record(i: int, score: float | None, exc: Exception | None) -> None:
         if exc is None:
-            live[i][1].extend(tensor_scores)
+            live[i][1].append(score)
         else:
             done[i] = _failed(i, entries[i], exc)
             del live[i]
 
-    # each tensor is scored on its own and pooled below with the real beta,
-    # so a negative tensor score cannot raise NegativeBase on its own
-    per_tensor = replace(cfg, beta=1.0)
+    def fail_live(exc: Exception) -> None:
+        for i in list(live):
+            record(i, None, exc)
+
+    # assess's window checks depend only on the reference's frame size
+    window, exc = _attempt(lambda: metric._fitting_window(ref_frames, bounds, cfg))
+    if exc is not None:
+        fail_live(exc)
     for lo, hi in bounds:
-        ref_planes: list[np.ndarray] = []  # this tensor's plane, once computed
-        queue = list(live)
-        # assess brings in the reference plane with the first entry, and
-        # with each next one for as long as that plane is missing
-        while queue and not ref_planes:
-            i = queue.pop(0)
-            tensor_scores, exc = _attempt(lambda: assess(
-                ref_frames, live[i][0], per_tensor, (lo, hi), ref_planes=ref_planes
-            ).tensor_scores)
-            record(i, tensor_scores, exc)
-        # the rest go two at a time, each pair's planes on two threads
-        for k in range(0, len(queue), 2):
-            pair = queue[k : k + 2]
-            tensors = [live[i][0][lo : hi + 1] for i in pair]
-            for i, (score, exc) in zip(pair, _pair_scores(ref_planes[0], tensors, per_tensor)):
-                record(i, [score], exc)
+        if not live:
+            break
+        order = list(live)
+        # the reference leads, so it pairs with the first entry as in assess;
+        # each plane comes in a list that the scoring below takes it out of
+        outcomes = _in_pairs(
+            lambda frames: [metric.tpsd_of_tensor(frames[lo : hi + 1], cfg.center_dc)],
+            [ref_frames, *(live[i][0] for i in order)],
+        )
+        ref, exc = next(outcomes)
+        if exc is not None:
+            fail_live(exc)  # its error wins over its partner's, as in assess
+            break
+        ref_plane = ref.pop()
+        for i, (plane, exc) in zip(order, outcomes):
+            score = None
+            if exc is None:
+                # _plane_score empties the list it gets, so the raw plane is
+                # freed once normalized
+                score, exc = _attempt(
+                    lambda: metric._plane_score([ref_plane, plane.pop()], window, cfg)
+                )
+            record(i, score, exc)
+        del ref_plane  # before the next tensor's planes are computed
     lo, hi = frame_range or (0, len(ref_frames) - 1)
     ready = list(live)
-    for k in range(0, len(ready), 2):
-        pair = ready[k : k + 2]
-        measured = _two_at_once(
-            lambda i: psnr(ref_frames[lo : hi + 1], live[i][0][lo : hi + 1]), pair
+    measured = _in_pairs(lambda i: psnr(ref_frames[lo : hi + 1], live[i][0][lo : hi + 1]), ready)
+    for i, (psnr_db, psnr_exc) in zip(ready, measured):
+        # the pooled score's error comes first, as it would one entry at a time
+        score, exc = _attempt(lambda: video_score(live[i][1], cfg.beta))
+        if exc is None:
+            exc = psnr_exc
+        done[i] = (
+            _failed(i, entries[i], exc) if exc is not None
+            else EntryResult(index=i, entry=entries[i], score=score, psnr_db=psnr_db)
         )
-        for i, (psnr_db, psnr_exc) in zip(pair, measured):
-            # the pooled score's error comes first, as it would one entry at a time
-            score, exc = _attempt(lambda: video_score(live[i][1], cfg.beta))
-            if exc is None:
-                exc = psnr_exc
-            done[i] = (
-                _failed(i, entries[i], exc) if exc is not None
-                else EntryResult(index=i, entry=entries[i], score=score, psnr_db=psnr_db)
-            )
     return done
 
 

@@ -385,13 +385,27 @@ def _plane_score(
     return tensor_score(zeta)
 
 
+def _fitting_window(
+    ref_frames: Sequence[LumaFrame], bounds: list[tuple[int, int]], cfg: MetricConfig
+) -> np.ndarray:
+    """``cfg``'s window kernel, once the window is known to fit the planes of
+    the tensors ``bounds`` cuts from ``ref_frames``.
+
+    A window too big for the planes fails before any transform or its kernel;
+    a ``FileFrames`` knows its frame size, and a frame in memory costs nothing
+    to index.
+    """
+    first = ref_frames if isinstance(ref_frames, FileFrames) else ref_frames[bounds[0][0]]
+    _check_plane_size((first.height, first.width), 2 * cfg.window_radius + 1)
+    return gaussian_window(cfg.window_radius, cfg.window_sigma)
+
+
 def assess(
     ref_frames: Sequence[LumaFrame],
     dist_frames: Sequence[LumaFrame],
     config: MetricConfig | None = None,
     frame_range: tuple[int, int] | None = None,
     zeta_callback: Callable[[int, np.ndarray], None] | None = None,
-    ref_planes: list[np.ndarray] | None = None,
 ) -> QualityReport:
     """Score a distorted sequence against its reference.
 
@@ -403,39 +417,22 @@ def assess(
     distorted plane on a worker, as ``_on_two_threads`` runs them.
     ``zeta_callback`` receives each tensor's index and correlation map (the
     2D array ``zeta_map`` returns) as it is produced.
-
-    ``ref_planes``, when given, receives each tensor's reference plane as
-    soon as it is computed, before the wait for the distorted plane, so a
-    failing distorted plane does not lose it. ``assess`` only appends to
-    the list and never reads it.
     """
     cfg = config or MetricConfig()
     bounds = tensor_bounds(ref_frames, dist_frames, cfg.tensor_len, frame_range)
-    # a window too big for the planes fails before any transform or its kernel;
-    # a FileFrames knows its frame size, and a frame in memory costs nothing to index
-    first = ref_frames if isinstance(ref_frames, FileFrames) else ref_frames[bounds[0][0]]
-    _check_plane_size((first.height, first.width), 2 * cfg.window_radius + 1)
-    window = gaussian_window(cfg.window_radius, cfg.window_sigma)
+    window = _fitting_window(ref_frames, bounds, cfg)
 
     timings = {"transform": 0.0, "correlate": 0.0, "pool": 0.0}
     scores: list[float] = []
     depths: list[int] = []
     for index, (lo, hi) in enumerate(bounds):
         t0 = time.perf_counter()
-        dist_tensor = dist_frames[lo : hi + 1]
-
-        def reference_plane() -> np.ndarray:
-            plane = tpsd_of_tensor(ref_frames[lo : hi + 1], cfg.center_dc)
-            if ref_planes is not None:
-                ref_planes.append(plane)
-            return plane
-
         planes = list(_on_two_threads(
-            reference_plane, lambda: tpsd_of_tensor(dist_tensor, cfg.center_dc)
+            lambda: tpsd_of_tensor(ref_frames[lo : hi + 1], cfg.center_dc),
+            lambda: tpsd_of_tensor(dist_frames[lo : hi + 1], cfg.center_dc),
         ))
         t1 = time.perf_counter()
         on_zeta = None if zeta_callback is None else lambda zeta: zeta_callback(index, zeta)
-        # the call empties planes, so only ref_planes keeps one past its tensor
         scores.append(_plane_score(planes, window, cfg, on_zeta))
         t2 = time.perf_counter()
         depths.append(hi - lo + 1)

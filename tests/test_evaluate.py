@@ -517,7 +517,7 @@ def _per_entry(index, entry, cfg):
 
 @pytest.fixture
 def count_planes(monkeypatch):
-    """Count the planes assess computes, through the name it looks the transform up by."""
+    """Count the planes computed, through the name the transform is looked up by."""
     calls = []
     real = tpsdvqa.metric.tpsd_of_tensor
 
@@ -684,7 +684,7 @@ class TestReferenceReuse:
 
 
 class TestEntryPairs:
-    """Past the first entry of a tensor, a group's planes and PSNRs go two at a time."""
+    """A group's planes, its reference first, and then its PSNRs go two at a time."""
 
     CFG = MetricConfig(tensor_len=8)  # 8 frames: 1 tensor
 
@@ -709,8 +709,8 @@ class TestEntryPairs:
     def test_a_failing_distorted_plane_keeps_the_reference_plane(
         self, shared_refs, count_planes, monkeypatch
     ):
-        # the failing entry comes first, so its assess call computes the
-        # reference plane; the next entry must not compute it again
+        # the failing entry comes first, so its plane pairs with the
+        # reference plane; the next entry must not compute that again
         self.failing_for(monkeypatch, shared_refs["A0"])
         cfg = MetricConfig(tensor_len=4)  # 2 tensors
         entries = self.entries(shared_refs, "A0", "A1", "A2")
@@ -719,25 +719,6 @@ class TestEntryPairs:
         # per tensor: one reference plane and the two good entries' planes
         assert len(count_planes) == 2 * (1 + 2)
         assert results == [_per_entry(i, e, cfg) for i, e in enumerate(entries)]
-
-    def test_assess_gets_an_empty_list_and_leaves_one_plane(self, shared_refs, monkeypatch):
-        self.failing_for(monkeypatch, shared_refs["A0"])
-        real = tpsdvqa.evaluate.assess
-        seen = []
-
-        def watching(*args, ref_planes, **kwargs):
-            before = len(ref_planes)
-            try:
-                return real(*args, ref_planes=ref_planes, **kwargs)
-            finally:
-                seen.append((before, len(ref_planes)))
-
-        monkeypatch.setattr(tpsdvqa.evaluate, "assess", watching)
-        cfg = MetricConfig(tensor_len=4)  # 2 tensors
-        results = score_manifest(self.entries(shared_refs, "A0", "A1", "A2"), cfg)
-        assert [r.error for r in results] == ["OSError", None, None]
-        # one call per tensor: on A0 for the first, which fails it, then on A1
-        assert seen == [(0, 1), (0, 1)]
 
     def test_work_splits_over_the_caller_and_one_worker_at_a_time(
         self, shared_refs, monkeypatch
@@ -759,14 +740,49 @@ class TestEntryPairs:
         entries = self.entries(shared_refs, "A0", "A1", "A2", "A0", "A1")
         results = score_manifest(entries, self.CFG)
         assert all(r.error is None for r in results)
-        # the reference and four distorted planes in three forks: the first
-        # entry's assess call, then two pairs
+        # the reference and five distorted planes in three forks: the
+        # reference with the first entry, then two pairs
         assert sorted(seen["plane"]) == [(False, base + 1)] * 3 + [(True, base + 1)] * 3
         # two pairs of PSNRs, then the odd entry alone on the caller
         assert sorted(seen["psnr"]) == (
             [(False, base + 1)] * 2 + [(True, base)] + [(True, base + 1)] * 2
         )
         assert results == [_per_entry(i, e, self.CFG) for i, e in enumerate(entries)]
+
+    def test_a_failing_reference_plane_is_computed_once(self, shared_refs, monkeypatch):
+        # its error fails every live entry, so the second tensor computes no plane
+        self.failing_for(monkeypatch, shared_refs["A"])
+        paths = []
+        real = tpsdvqa.metric.tpsd_of_tensor
+
+        def recording(tensor, *args, **kwargs):
+            paths.append(tensor.path)
+            return real(tensor, *args, **kwargs)
+
+        monkeypatch.setattr(tpsdvqa.metric, "tpsd_of_tensor", recording)
+        cfg = MetricConfig(tensor_len=4)  # 2 tensors
+        entries = self.entries(shared_refs, "A0", "A1", "A2")
+        results = score_manifest(entries, cfg)
+        assert [r.error for r in results] == ["OSError"] * 3
+        assert paths.count(shared_refs["A"]) == 1
+        assert results == [_per_entry(i, e, cfg) for i, e in enumerate(entries)]
+
+    @pytest.mark.parametrize("window, error", [
+        ({"window_radius": 40}, "PlaneTooSmall"),
+        ({"window_sigma": 1e-160}, "ValueError"),
+        ({"window_radius": 40, "window_sigma": 1e-160}, "PlaneTooSmall"),
+    ])
+    def test_a_window_that_cannot_be_used_fails_every_live_entry(
+        self, shared_refs, count_planes, window, error
+    ):
+        # the group checks the window once, after each entry's frame counts
+        # and before any transform, in the order assess checks them
+        cfg = MetricConfig(tensor_len=4, **window)
+        entries = self.entries(shared_refs, "Ashort", "A0", "A1")
+        results = score_manifest(entries, cfg)
+        assert [r.error for r in results] == ["FrameCountMismatch", error, error]
+        assert count_planes == []
+        assert results == [_per_entry(i, e, cfg) for i, e in enumerate(entries)]
 
     @pytest.mark.parametrize("failing", ["A1", "A2"])
     def test_no_thread_outlives_the_call(self, shared_refs, monkeypatch, failing):

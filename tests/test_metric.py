@@ -27,7 +27,6 @@ from tpsdvqa.metric import (
     video_score,
     zeta_map,
 )
-from tpsdvqa.spectral import tpsd_of_tensor
 from tpsdvqa.synth import DistortionSpec, apply_distortion, make_moving_texture
 from tpsdvqa.video_io import LumaFrame
 
@@ -466,38 +465,6 @@ class TestAssess:
         assess(frames, dist, MetricConfig(tensor_len=4))
         assert len(threads) == 4
         assert threads.count(threading.get_ident()) == 2
-
-    @staticmethod
-    def reference_plane_bytes(frames, cfg, bounds):
-        return [tpsd_of_tensor(frames[lo : hi + 1], cfg.center_dc).tobytes() for lo, hi in bounds]
-
-    def test_ref_planes_is_output_only(self):
-        frames = make_moving_texture(32, 32, 12, seed=3)
-        dist = apply_distortion(frames, DistortionSpec("gaussian-noise", 20.0, seed=4))
-        cfg = MetricConfig(tensor_len=4)
-        zeros = np.zeros((32, 32))
-        planes = [zeros]
-        report = assess(frames, dist, cfg, ref_planes=planes)
-        # a plane already in the list is never used as a reference plane
-        alone = assess(frames, dist, cfg)
-        assert report.tensor_scores == alone.tensor_scores
-        assert report.video_score == alone.video_score
-        assert planes[0] is zeros
-        assert [p.tobytes() for p in planes[1:]] == self.reference_plane_bytes(
-            frames, cfg, [(0, 3), (4, 7), (8, 11)]
-        )
-
-    def test_ref_planes_keeps_the_reference_plane_of_a_failing_tensor(self):
-        frames = make_moving_texture(32, 32, 12, seed=3)
-        cfg = MetricConfig(tensor_len=4)
-        bad_dist = list(frames)
-        bad_dist[5] = LumaFrame(np.zeros((32, 16)))  # in tensor 1
-        planes = []
-        with pytest.raises(ValueError, match=r"^tensor frames disagree on shape: \(32, 16\)"):
-            assess(frames, bad_dist, cfg, ref_planes=planes)
-        assert [p.tobytes() for p in planes] == self.reference_plane_bytes(
-            frames, cfg, [(0, 3), (4, 7)]
-        )
 
     def test_no_thread_outlives_assess(self):
         cfg = MetricConfig(tensor_len=4)

@@ -20,8 +20,8 @@ from tpsdvqa.video_io import write_yuv420  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
 # wrapped by the benchmark's video_io.to_float layer, deleted from the library
-# with the 3D route
-KNOWN_STALE = {"tpsdvqa.video_io:LumaTensor.as_array"}
+# with the 3D route; and assess as evaluate saw it, which no longer calls it
+KNOWN_STALE = {"tpsdvqa.video_io:LumaTensor.as_array", "tpsdvqa.evaluate:assess"}
 
 
 def test_every_traced_name_exists():
@@ -29,7 +29,7 @@ def test_every_traced_name_exists():
     tracer = Tracer()
     try:
         tracer.install()
-        assert set(tracer.absent) <= KNOWN_STALE
+        assert set(tracer.absent) == KNOWN_STALE
     finally:
         tracer.uninstall()
         if not was_tracing:
@@ -103,9 +103,9 @@ def test_traced_score_over_threaded_zeta_bands(capsys, tmp_path):
 
 def test_traced_evaluate_over_entry_pairs(capsys, tmp_path):
     # the tracer keeps one span stack, so each side of a fork may make one
-    # wrapped call that makes no other; 5 entries on one reference give two
-    # plane pairs per tensor after the first entry, and two PSNR pairs and a
-    # lone PSNR
+    # wrapped call that makes no other; 5 entries on one reference give three
+    # plane pairs per tensor, the reference leading, and two PSNR pairs and a
+    # lone PSNR, and evaluate calls no assess
     ref = make_moving_texture(64, 48, 6, seed=1)
     write_yuv420(ref, tmp_path / "ref.yuv")
     rows = ["ref_path,dist_path,width,height,dmos,tag"]
@@ -133,7 +133,7 @@ def test_traced_evaluate_over_entry_pairs(capsys, tmp_path):
     assert code == 0
     tensors = 2
     for name, calls in (
-        ("spectral.plane", 6 * tensors), ("evaluate.psnr", 5), ("metric.assess", tensors),
+        ("spectral.plane", 6 * tensors), ("evaluate.psnr", 5), ("metric.assess", 0),
     ):
         assert len([s for s in tracer.spans if s["name"] == name]) == calls, name
     # every span was closed
