@@ -25,7 +25,7 @@ import csv
 import math
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .errors import (
     REPORTED_ERRORS,
 )
 from . import metric
-from .metric import MetricConfig, tensor_bounds, video_score
+from .metric import MetricConfig, video_score
 from .video_io import LumaFrame, read_yuv420_file
 
 __all__ = [
@@ -258,18 +258,15 @@ def score_manifest(
 
     Entries that share a reference clip, geometry and frame range form a
     group; groups run in the order of their first entries. A group opens its
-    reference once and walks its tensors in order. Per tensor, the reference
-    tensor and then each live entry's distorted tensor are transformed two at
-    a time, on the calling thread and one worker as
-    ``metric._on_two_threads`` runs them, so the reference is transformed
-    once and pairs with the first entry. Each distorted plane is scored
-    against it on the calling thread once its pair joins, and the entries'
-    PSNRs are then taken two at a time the same way. Memory thus holds one
-    reference plane and two distorted ones, whatever the clip length or the
-    group size. A failure fails only its own entry, and a reference that
-    cannot be opened, or whose plane fails, fails every entry still live in
-    its group. Results come back in manifest order, equal to scoring each
-    entry on its own. A manifest without entries raises EmptyManifest.
+    reference and its entries' clips once and scores them in one walk of its
+    tensors, ``metric._score_tensors``, the loop ``assess`` runs for one clip;
+    the entries' PSNRs are then taken two at a time on the calling thread and
+    one worker. Memory thus holds one reference plane and two distorted ones,
+    whatever the clip length or the group size. A failure fails only its own
+    entry, and a reference that cannot be opened, or whose plane fails, fails
+    every entry still live in its group. Results come back in manifest order,
+    equal to scoring each entry on its own. A manifest without entries raises
+    EmptyManifest.
     """
     if not entries:
         raise EmptyManifest("manifest has no entries")
@@ -284,30 +281,6 @@ def score_manifest(
     return [results[i] for i in range(len(entries))]
 
 
-def _attempt(fn: Callable[[], Any]) -> tuple[Any, Exception | None]:
-    """``(fn(), None)``, or ``(None, error)`` for an error reported per entry."""
-    try:
-        return fn(), None
-    except REPORTED_ERRORS as exc:
-        return None, exc
-
-
-def _in_pairs(
-    fn: Callable[[Any], Any], args: Sequence[Any]
-) -> Iterator[tuple[Any, Exception | None]]:
-    """``_attempt`` of ``fn(arg)`` for each of ``args``, two at a time.
-
-    Of two, the first runs on the calling thread and the second on a worker,
-    as ``metric._on_two_threads`` runs them, and each keeps its own failure;
-    a lone last one runs on the calling thread. A pair's outcomes are
-    yielded once it joins, and the next pair starts when the first of its
-    outcomes is asked for.
-    """
-    for k in range(0, len(args), 2):
-        calls = [lambda arg=arg: _attempt(lambda: fn(arg)) for arg in args[k : k + 2]]
-        yield from (metric._on_two_threads(*calls) if len(calls) == 2 else [calls[0]()])
-
-
 def _score_group(
     entries: Sequence[ManifestEntry],
     indices: list[int],
@@ -320,65 +293,28 @@ def _score_group(
         return {i: _failed(i, entries[i], exc) for i in indices}
     frame_range = first.frame_range(len(ref_frames))
     done: dict[int, EntryResult] = {}
-    live: dict[int, tuple[Sequence[LumaFrame], list[float]]] = {}
-    bounds: list[tuple[int, int]] = []
+    dists: dict[int, Sequence[LumaFrame]] = {}
     for i in indices:
         entry = entries[i]
         try:
-            dist_frames = read_yuv420_file(entry.dist_path, entry.width, entry.height)
-            bounds = tensor_bounds(ref_frames, dist_frames, cfg.tensor_len, frame_range)
-            live[i] = (dist_frames, [])
+            dists[i] = read_yuv420_file(entry.dist_path, entry.width, entry.height)
         except REPORTED_ERRORS as exc:
             done[i] = _failed(i, entry, exc)
-
-    def record(i: int, score: float | None, exc: Exception | None) -> None:
+    scored, _, _ = metric._score_tensors(ref_frames, list(dists.values()), cfg, frame_range)
+    ready = []
+    for i, (scores, exc) in zip(dists, scored):
+        # the pooled score's error comes before the PSNR's, as it would one entry at a time
         if exc is None:
-            live[i][1].append(score)
+            score, exc = metric._attempt(lambda: video_score(scores, cfg.beta))
+        if exc is None:
+            ready.append((i, score))
         else:
             done[i] = _failed(i, entries[i], exc)
-            del live[i]
-
-    def fail_live(exc: Exception) -> None:
-        for i in list(live):
-            record(i, None, exc)
-
-    # assess's window checks depend only on the reference's frame size
-    window, exc = _attempt(lambda: metric._fitting_window(ref_frames, bounds, cfg))
-    if exc is not None:
-        fail_live(exc)
-    for lo, hi in bounds:
-        if not live:
-            break
-        order = list(live)
-        # the reference leads, so it pairs with the first entry as in assess;
-        # each plane comes in a list that the scoring below takes it out of
-        outcomes = _in_pairs(
-            lambda frames: [metric.tpsd_of_tensor(frames[lo : hi + 1], cfg.center_dc)],
-            [ref_frames, *(live[i][0] for i in order)],
-        )
-        ref, exc = next(outcomes)
-        if exc is not None:
-            fail_live(exc)  # its error wins over its partner's, as in assess
-            break
-        ref_plane = ref.pop()
-        for i, (plane, exc) in zip(order, outcomes):
-            score = None
-            if exc is None:
-                # _plane_score empties the list it gets, so the raw plane is
-                # freed once normalized
-                score, exc = _attempt(
-                    lambda: metric._plane_score([ref_plane, plane.pop()], window, cfg)
-                )
-            record(i, score, exc)
-        del ref_plane  # before the next tensor's planes are computed
     lo, hi = frame_range or (0, len(ref_frames) - 1)
-    ready = list(live)
-    measured = _in_pairs(lambda i: psnr(ref_frames[lo : hi + 1], live[i][0][lo : hi + 1]), ready)
-    for i, (psnr_db, psnr_exc) in zip(ready, measured):
-        # the pooled score's error comes first, as it would one entry at a time
-        score, exc = _attempt(lambda: video_score(live[i][1], cfg.beta))
-        if exc is None:
-            exc = psnr_exc
+    measured = metric._in_pairs(
+        lambda i: psnr(ref_frames[lo : hi + 1], dists[i][lo : hi + 1]), [i for i, _ in ready]
+    )
+    for (i, score), (psnr_db, exc) in zip(ready, measured):
         done[i] = (
             _failed(i, entries[i], exc) if exc is not None
             else EntryResult(index=i, entry=entries[i], score=score, psnr_db=psnr_db)

@@ -23,13 +23,19 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.fft
 from scipy.ndimage import correlate1d
 
-from .errors import DimensionMismatch, FrameCountMismatch, NegativeBase, PlaneTooSmall
+from .errors import (
+    DimensionMismatch,
+    FrameCountMismatch,
+    NegativeBase,
+    PlaneTooSmall,
+    REPORTED_ERRORS,
+)
 from .spectral import tpsd_of_tensor
 from .video_io import FileFrames, LumaFrame, group_tensors
 
@@ -45,7 +51,6 @@ __all__ = [
     "zeta_map",
     "tensor_score",
     "video_score",
-    "tensor_bounds",
     "assess",
 ]
 
@@ -320,30 +325,15 @@ def video_score(tensor_scores: Sequence[float], beta: float = 1.0) -> float:
     return mean**beta
 
 
-def tensor_bounds(
-    ref_frames: Sequence[LumaFrame],
-    dist_frames: Sequence[LumaFrame],
-    tensor_len: int,
-    frame_range: tuple[int, int] | None = None,
-) -> list[tuple[int, int]]:
-    """Inclusive (first, last) frame bounds of the tensors ``assess`` pairs up.
-
-    Raises FrameCountMismatch when the sequences differ in length, then
-    whatever ``group_tensors`` raises for the range.
-    """
-    if len(ref_frames) != len(dist_frames):
-        raise FrameCountMismatch(
-            f"reference has {len(ref_frames)} frames, distorted has {len(dist_frames)}"
-        )
-    return group_tensors(len(ref_frames), tensor_len, frame_range)
-
-
 def _on_two_threads(here: Callable[[], Any], there: Callable[[], Any]) -> tuple[Any, Any]:
     """``(here(), there())``, with ``there`` run on one worker thread meanwhile.
 
-    ``here`` runs on the calling thread. The worker runs under the caller's
-    ``scipy.fft`` worker count, which is per thread, and is joined before
-    the call returns, so an error from ``here`` wins over one from ``there``.
+    It is the library's one thread split: ``zeta_map``'s row bands, and
+    through ``_in_pairs`` the planes of ``_score_tensors`` and the PSNRs of
+    ``evaluate.score_manifest``. ``here`` runs on the calling thread. The
+    worker runs under the caller's ``scipy.fft`` worker count, which is per
+    thread, and is joined before the call returns, so an error from ``here``
+    wins over one from ``there``.
 
     The benchmark's tracer keeps one span stack for all threads. It stays
     consistent only if each side makes at most one call to a function the
@@ -385,19 +375,105 @@ def _plane_score(
     return tensor_score(zeta)
 
 
-def _fitting_window(
-    ref_frames: Sequence[LumaFrame], bounds: list[tuple[int, int]], cfg: MetricConfig
-) -> np.ndarray:
-    """``cfg``'s window kernel, once the window is known to fit the planes of
-    the tensors ``bounds`` cuts from ``ref_frames``.
+def _attempt(fn: Callable[[], Any]) -> tuple[Any, Exception | None]:
+    """``(fn(), None)``, or ``(None, error)`` for an error reported per sequence."""
+    try:
+        return fn(), None
+    except REPORTED_ERRORS as exc:
+        return None, exc
 
-    A window too big for the planes fails before any transform or its kernel;
-    a ``FileFrames`` knows its frame size, and a frame in memory costs nothing
-    to index.
+
+def _in_pairs(
+    fn: Callable[[Any], Any], args: Sequence[Any]
+) -> Iterator[tuple[Any, Exception | None]]:
+    """``_attempt`` of ``fn(arg)`` for each of ``args``, two at a time.
+
+    Of two, the first runs on the calling thread and the second on a worker,
+    as ``_on_two_threads`` runs them, and each keeps its own failure; a lone
+    last one runs on the calling thread. A pair's outcomes are yielded once
+    it joins, and the next pair starts when the first of its outcomes is
+    asked for.
     """
-    first = ref_frames if isinstance(ref_frames, FileFrames) else ref_frames[bounds[0][0]]
-    _check_plane_size((first.height, first.width), 2 * cfg.window_radius + 1)
-    return gaussian_window(cfg.window_radius, cfg.window_sigma)
+    for k in range(0, len(args), 2):
+        calls = [lambda arg=arg: _attempt(lambda: fn(arg)) for arg in args[k : k + 2]]
+        yield from (_on_two_threads(*calls) if len(calls) == 2 else [calls[0]()])
+
+
+def _score_tensors(
+    ref_frames: Sequence[LumaFrame],
+    dists: Sequence[Sequence[LumaFrame]],
+    cfg: MetricConfig,
+    frame_range: tuple[int, int] | None = None,
+    zeta_callback: Callable[[int, np.ndarray], None] | None = None,
+) -> tuple[
+    list[tuple[list[float] | None, Exception | None]], list[tuple[int, int]], dict[str, float]
+]:
+    """Each of ``dists``' ``(tensor scores, None)`` or ``(None, error)`` against
+    ``ref_frames``, the tensors' inclusive bounds, and the ``transform`` and
+    ``correlate`` seconds. A length that differs from the reference fails its
+    sequence alone; a bad range or window, checked before any transform or
+    kernel, or a failing reference plane fails every live sequence.
+
+    Per tensor, ``_in_pairs`` transforms the reference and then each live
+    sequence, and each distorted plane is scored as its pair joins. The last
+    live sequence takes the raw reference plane along, so it is freed once
+    normalized, and the walk stops once nothing is live.
+    """
+    live: dict[int, list[float]] = {}
+    errors: dict[int, Exception] = {}
+    for k, dist in enumerate(dists):
+        if len(dist) == len(ref_frames):
+            live[k] = []
+        else:
+            errors[k] = FrameCountMismatch(
+                f"reference has {len(ref_frames)} frames, distorted has {len(dist)}"
+            )
+
+    def fail_live(exc: Exception) -> None:
+        errors.update(dict.fromkeys(live, exc))
+        live.clear()
+
+    bounds: list[tuple[int, int]] = []
+    try:
+        bounds = group_tensors(len(ref_frames), cfg.tensor_len, frame_range)
+        # a FileFrames knows its frame size, and a frame in memory costs nothing to index
+        first = ref_frames if isinstance(ref_frames, FileFrames) else ref_frames[bounds[0][0]]
+        _check_plane_size((first.height, first.width), 2 * cfg.window_radius + 1)
+        window = gaussian_window(cfg.window_radius, cfg.window_sigma)
+    except REPORTED_ERRORS as exc:
+        fail_live(exc)
+
+    seconds = {"transform": 0.0, "correlate": 0.0}
+    for index, (lo, hi) in enumerate(bounds):
+        if not live:
+            break
+        order = list(live)
+        on_zeta = None if zeta_callback is None else lambda zeta: zeta_callback(index, zeta)
+        t0 = time.perf_counter()
+        # each plane comes in a list that the scoring below takes it out of
+        outcomes = _in_pairs(
+            lambda frames: [tpsd_of_tensor(frames[lo : hi + 1], cfg.center_dc)],
+            [ref_frames, *(dists[k] for k in order)],
+        )
+        ref, exc = next(outcomes)
+        if exc is not None:
+            fail_live(exc)  # its error wins over its partner's
+            break
+        for k, (plane, exc) in zip(order, outcomes):
+            t1 = time.perf_counter()
+            seconds["transform"] += t1 - t0
+            if exc is None:
+                planes = [ref.pop() if k == order[-1] else ref[0], plane.pop()]
+                score, exc = _attempt(lambda: _plane_score(planes, window, cfg, on_zeta))
+            if exc is None:
+                live[k].append(score)
+            else:
+                errors[k] = exc
+                del live[k]
+            t0 = time.perf_counter()
+            seconds["correlate"] += t0 - t1
+        ref.clear()  # before the next tensor's planes are computed
+    return [(live.get(k), errors.get(k)) for k in range(len(dists))], bounds, seconds
 
 
 def assess(
@@ -411,41 +487,26 @@ def assess(
 
     Both sequences are grouped into tensors, each pair is reduced to its
     aggregated PSD planes, normalized, correlated, and pooled; tensors are
-    paired strictly by position (temporal alignment is assumed). Each tensor
-    is a slice of the input, so a ``FileFrames`` input is read frame by frame.
-    A tensor's reference plane is computed on the calling thread and its
-    distorted plane on a worker, as ``_on_two_threads`` runs them.
-    ``zeta_callback`` receives each tensor's index and correlation map (the
-    2D array ``zeta_map`` returns) as it is produced.
+    paired strictly by position (temporal alignment is assumed). This is
+    ``_score_tensors`` run for one distorted sequence: each tensor is a slice
+    of the input, so a ``FileFrames`` input is read frame by frame, and a
+    tensor's reference plane is computed on the calling thread and its
+    distorted plane on a worker. ``zeta_callback`` receives each tensor's
+    index and correlation map (the 2D array ``zeta_map`` returns) as it is
+    produced.
     """
     cfg = config or MetricConfig()
-    bounds = tensor_bounds(ref_frames, dist_frames, cfg.tensor_len, frame_range)
-    window = _fitting_window(ref_frames, bounds, cfg)
-
-    timings = {"transform": 0.0, "correlate": 0.0, "pool": 0.0}
-    scores: list[float] = []
-    depths: list[int] = []
-    for index, (lo, hi) in enumerate(bounds):
-        t0 = time.perf_counter()
-        planes = list(_on_two_threads(
-            lambda: tpsd_of_tensor(ref_frames[lo : hi + 1], cfg.center_dc),
-            lambda: tpsd_of_tensor(dist_frames[lo : hi + 1], cfg.center_dc),
-        ))
-        t1 = time.perf_counter()
-        on_zeta = None if zeta_callback is None else lambda zeta: zeta_callback(index, zeta)
-        scores.append(_plane_score(planes, window, cfg, on_zeta))
-        t2 = time.perf_counter()
-        depths.append(hi - lo + 1)
-        timings["transform"] += t1 - t0
-        timings["correlate"] += t2 - t1
-
-    t3 = time.perf_counter()
+    ((scores, exc),), bounds, timings = _score_tensors(
+        ref_frames, [dist_frames], cfg, frame_range, zeta_callback
+    )
+    if exc is not None:
+        raise exc
+    t0 = time.perf_counter()
     pooled = video_score(scores, cfg.beta)
-    timings["pool"] += time.perf_counter() - t3
-
+    timings["pool"] = time.perf_counter() - t0
     return QualityReport(
         tensor_scores=tuple(scores),
         video_score=pooled,
-        tensor_depths=tuple(depths),
+        tensor_depths=tuple(hi - lo + 1 for lo, hi in bounds),
         timings=timings,
     )

@@ -688,9 +688,9 @@ class TestEntryPairs:
 
     CFG = MetricConfig(tensor_len=8)  # 8 frames: 1 tensor
 
-    def entries(self, clips, *dists):
+    def entries(self, clips, *dists, **frames):
         return tuple(
-            ManifestEntry(clips["A"], clips[d], 64, 48, dmos=float(i), tag="noise")
+            ManifestEntry(clips["A"], clips[d], 64, 48, dmos=float(i), tag="noise", **frames)
             for i, d in enumerate(dists)
         )
 
@@ -767,18 +767,22 @@ class TestEntryPairs:
         assert paths.count(shared_refs["A"]) == 1
         assert results == [_per_entry(i, e, cfg) for i, e in enumerate(entries)]
 
-    @pytest.mark.parametrize("window, error", [
-        ({"window_radius": 40}, "PlaneTooSmall"),
-        ({"window_sigma": 1e-160}, "ValueError"),
-        ({"window_radius": 40, "window_sigma": 1e-160}, "PlaneTooSmall"),
+    @pytest.mark.parametrize("window, error, frames", [
+        ({"window_radius": 40}, "PlaneTooSmall", {}),
+        ({"window_sigma": 1e-160}, "ValueError", {}),
+        ({"window_radius": 40, "window_sigma": 1e-160}, "PlaneTooSmall", {}),
+        # a frame range that cannot be used fails the same way
+        ({}, "ValueError", {"frame_end": 8}),
+        ({}, "EmptySelection", {"frame_start": 3, "frame_end": 3}),
+        ({}, "ValueError", {"frame_start": 5, "frame_end": 2}),
     ])
     def test_a_window_that_cannot_be_used_fails_every_live_entry(
-        self, shared_refs, count_planes, window, error
+        self, shared_refs, count_planes, window, error, frames
     ):
-        # the group checks the window once, after each entry's frame counts
-        # and before any transform, in the order assess checks them
+        # the group checks the range and the window once, after each entry's
+        # frame counts and before any transform, in the order assess checks them
         cfg = MetricConfig(tensor_len=4, **window)
-        entries = self.entries(shared_refs, "Ashort", "A0", "A1")
+        entries = self.entries(shared_refs, "Ashort", "A0", "A1", **frames)
         results = score_manifest(entries, cfg)
         assert [r.error for r in results] == ["FrameCountMismatch", error, error]
         assert count_planes == []

@@ -485,6 +485,47 @@ class TestAssess:
             assess(bad_ref, bad_dist, cfg)
         assert threading.active_count() == before
 
+    def test_a_failing_tensor_ends_the_walk(self, monkeypatch):
+        # the distorted tensor 0 of 3 fails, so no later tensor is transformed
+        calls = []
+        real = tpsdvqa.metric.tpsd_of_tensor
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tpsdvqa.metric, "tpsd_of_tensor", counting)
+        frames = make_moving_texture(32, 32, 12, seed=3)
+        bad_dist = list(frames)
+        bad_dist[2] = LumaFrame(np.zeros((32, 16)))
+        with pytest.raises(ValueError, match=r"^tensor frames disagree on shape"):
+            assess(frames, bad_dist, MetricConfig(tensor_len=4))
+        assert len(calls) == 2
+
+    def test_two_planes_are_held_when_zeta_starts(self, monkeypatch):
+        # the raw planes are freed once normalized, so zeta_map starts with
+        # the two normalized planes of its tensor and no third
+        width, height = 256, 192
+        frames = make_moving_texture(width, height, 8, seed=3)
+        dist = apply_distortion(frames, DistortionSpec("gaussian-noise", 20.0, seed=4))
+        in_use = []
+        real = tpsdvqa.metric.zeta_map
+
+        def measuring(*args, **kwargs):
+            in_use.append(tracemalloc.get_traced_memory()[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tpsdvqa.metric, "zeta_map", measuring)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assess(frames, dist, MetricConfig(tensor_len=4))
+        finally:
+            tracemalloc.stop()
+        assert len(in_use) == 2
+        plane = width * height * 8
+        assert max(in_use) - base < 2.5 * plane, [(m - base) / plane for m in in_use]
+
     def test_frame_count_mismatch(self):
         frames = make_moving_texture(32, 32, 6, seed=1)
         with pytest.raises(FrameCountMismatch):

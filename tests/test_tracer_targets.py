@@ -99,6 +99,12 @@ def test_traced_score_over_threaded_zeta_bands(capsys, tmp_path):
     assert len(zeta_ids) == 2
     # a wrapped call from the worker would nest under the caller's open zeta span
     assert [s["name"] for s in tracer.spans if s["parent"] in zeta_ids] == []
+    # score runs its plane pairs as evaluate does: one wrapped call per side
+    tensors = 2
+    for name, calls in (("spectral.plane", 2 * tensors), ("metric.assess", 1)):
+        assert len([s for s in tracer.spans if s["name"] == name]) == calls, name
+    # every span was closed
+    assert all("end" in s and "peak_bytes" in s for s in tracer.spans)
 
 
 def test_traced_evaluate_over_entry_pairs(capsys, tmp_path):
