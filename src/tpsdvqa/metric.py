@@ -234,6 +234,15 @@ def local_moments(
     return tuple(np.ascontiguousarray(moments.pop(0)[keep]) for _ in range(5))
 
 
+def _point_symmetric(a: np.ndarray) -> bool:
+    """Whether ``a[i, j]`` and ``a[-i % M, -j % N]`` share their bits, so that
+    -0.0 is not 0.0, in every column but 0 and N/2."""
+    bits, q = a.view(np.int64), a.shape[1] // 2
+    return np.array_equal(bits[0, 1:q], bits[0, :q:-1]) and np.array_equal(
+        bits[1:, 1:q], bits[:0:-1, :q:-1]
+    )
+
+
 def zeta_map(
     ref: np.ndarray,
     dist: np.ndarray,
@@ -256,41 +265,63 @@ def zeta_map(
     transient memory is a few slabs instead of the seven planes of a
     whole-plane ``_workspace``.
 
-    A plane of more than one band has its even bands computed on the
+    When M and N are even, the window is symmetric and both planes equal
+    their point mirror ``a[-i % M, -j % N]`` bit for bit outside columns 0
+    and N/2, as ``tpsd_of_tensor`` planes do, so does the map wherever a
+    window reaches neither those columns nor an edge: the smoothing adds
+    mirrored taps before weighting them. Only rows 0..M/2 and the last ``d``
+    rows, and elsewhere the columns within ``d`` of 0, N/2 and N, are then
+    computed; the other bins are copied from the upper half reversed.
+
+    A plane of more than one band has its even blocks computed on the
     calling thread and its odd ones on a worker, as ``_on_two_threads``
-    runs them; each band writes only its own rows.
+    runs them; each block writes only its own bins.
     """
     _require_finite_positive("stability constant", c)
     x, y, keep = _plane_pair(ref, dist, window, padding)
-    m = x.shape[0]
-    d = len(window) // 2
+    m, n = x.shape
+    d, q, b = len(window) // 2, n // 2, ZETA_BAND_ROWS
     zeta = np.empty(x.shape)
-    starts = range(0, m, ZETA_BAND_ROWS)
-    # one workspace per thread, made up front: the bands then add the same
+    # one workspace per thread, made up front: the blocks then add the same
     # memory whichever way the two threads interleave
-    slab_shape = (min(m, ZETA_BAND_ROWS + 2 * d), x.shape[1])
+    slab_shape = (min(m, b + 2 * d), n)
     caller_work = _workspace(slab_shape)
+    mirrored = m % 2 == n % 2 == 0 and np.array_equal(window, np.flip(window))
+    mirrored = mirrored and _point_symmetric(x) and _point_symmetric(y)
+    # (first row, end row, first column, end column) of each block of bins computed
+    top = m // 2 + 1 if mirrored else m
+    blocks = [(s, min(s + b, top), 0, n) for s in range(0, top, b)]
+    if mirrored:
+        # disjoint strips, so that no two blocks write one bin
+        strips = ((0, d + 1), (max(d + 1, q - d), q + d + 1), (max(q + d + 1, n - d), n))
+        blocks.append((m - d, m, 0, n))
+        blocks += [(s, min(s + b, m - d), *cols) for s in range(top, m - d, b) for cols in strips]
 
-    def bands(work: list[np.ndarray], band_starts: range) -> None:
-        for start in band_starts:
-            stop = min(start + ZETA_BAND_ROWS, m)
+    def bands(work: list[np.ndarray], band_blocks: list[tuple[int, int, int, int]]) -> None:
+        for start, stop, first, end in band_blocks:
             lo, hi = max(0, start - d), min(m, stop + d)
-            slab = [w[: hi - lo] for w in work]
-            _, _, sigma_x, sigma_y, cov = _moments(x[lo:hi], y[lo:hi], window, slab)
-            rows = slice(start - lo, stop - lo)
+            left, right = max(0, first - d), min(n, end + d)
+            part = slice(lo, hi), slice(left, right)
+            slab = [w[: hi - lo, : right - left] for w in work]
+            _, _, sigma_x, sigma_y, cov = _moments(x[part], y[part], window, slab)
+            bins = slice(start - lo, stop - lo), slice(first - left, end - left)
             # (cov + c) / (sigma_x * sigma_y + c), computed in place
-            out = np.add(cov[rows], c, out=zeta[start:stop])
-            den = np.multiply(sigma_x[rows], sigma_y[rows], out=sigma_x[rows])
+            out = np.add(cov[bins], c, out=zeta[start:stop, first:end])
+            den = np.multiply(sigma_x[bins], sigma_y[bins], out=sigma_x[bins])
             den += c
             out /= den
 
-    if len(starts) == 1:
-        bands(caller_work, starts)
+    if m <= b:
+        bands(caller_work, blocks)
     else:
         worker_work = _workspace(slab_shape)
         _on_two_threads(
-            lambda: bands(caller_work, starts[::2]), lambda: bands(worker_work, starts[1::2])
+            lambda: bands(caller_work, blocks[::2]), lambda: bands(worker_work, blocks[1::2])
         )
+    if mirrored:
+        # the other lower bins: the upper half, reversed in rows and columns
+        zeta[top : m - d, d + 1 : q - d] = zeta[top - 2 : d : -1, n - d - 1 : q + d : -1]
+        zeta[top : m - d, q + d + 1 : n - d] = zeta[top - 2 : d : -1, q - d - 1 : d : -1]
     # a copy, not a view: np.mean sums a strided view in another order
     return np.ascontiguousarray(zeta[keep])
 

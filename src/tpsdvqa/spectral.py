@@ -46,8 +46,9 @@ def tpsd_of_tensor(tensor: Sequence[LumaFrame], center_dc: bool = True) -> np.nd
     into one float64 buffer and its real-input half spectrum folded into one
     ``(M, N//2 + 1)`` accumulator, so memory is O(frame) whatever the depth,
     and the dropped columns are restored from the plane's point symmetry
-    T[h, k] == T[(M-h) % M, (N-k) % N], with the DC shift folded into the
-    same gather. Its transient memory is about 2.5 planes.
+    T[h, k] == T[(M-h) % M, (N-k) % N], by slice copies rotated by the DC
+    shift, so the unshifted plane equals its point mirror bit for bit outside
+    columns 0 and N/2. Its transient memory is about 2.5 planes.
     """
     if len(tensor) < 2:
         raise ValueError(f"tensor needs at least 2 frames, got {len(tensor)}")
@@ -71,15 +72,19 @@ def tpsd_of_tensor(tensor: Sequence[LumaFrame], center_dc: bool = True) -> np.nd
     del frame
     s_half /= m * n
 
-    # output bin (i, j) is plane bin (h, k) = ((i - row_shift) % M, (j - col_shift) % N):
-    # half-plane bin (h, k) when k < n_half, else ((M - h) % M, N - k) by symmetry
-    row_shift, col_shift = (m // 2, n // 2) if center_dc else (0, 0)
-    rows = np.arange(m)
-    cols = (np.arange(n) - col_shift) % n
-    kept = cols < n_half
+    # plane bin (h, k) lands at ((h + rs) % M, (k + cs) % N); it is half-plane
+    # bin (h, k) for k < n_half, else ((M - h) % M, N - k) by symmetry: the
+    # half plane reversed in rows and columns, landing one row further down
+    rs, cs = (m // 2, n // 2) if center_dc else (0, 0)
+    kept, start = min(n - cs, n_half), (n_half + cs) % n  # kept: columns before a wrap
     plane = np.empty((m, n), dtype=np.float64)
-    plane[:, kept] = s_half[((rows - row_shift) % m)[:, None], cols[kept]]
-    plane[:, ~kept] = s_half[((row_shift - rows) % m)[:, None], n - cols[~kept]]
+    for cols, half, shift in (
+        (slice(cs, cs + kept), s_half[:, :kept], rs),
+        (slice(0, n_half - kept), s_half[:, kept:], rs),
+        (slice(start, start + n - n_half), s_half[::-1, n - n_half : 0 : -1], rs + 1),
+    ):
+        plane[shift:, cols] = half[: m - shift]
+        plane[:shift, cols] = half[m - shift :]
     return plane
 
 

@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import frames_from_array
+from conftest import frames_from_array, random_frames
 import tpsdvqa.metric
 from oracles import local_moments_direct, pipeline_direct, zeta_direct, zeta_whole_plane
 from tpsdvqa.errors import (
@@ -27,6 +28,7 @@ from tpsdvqa.metric import (
     video_score,
     zeta_map,
 )
+from tpsdvqa.spectral import tpsd_of_tensor
 from tpsdvqa.synth import DistortionSpec, apply_distortion, make_moving_texture
 from tpsdvqa.video_io import LumaFrame
 
@@ -224,6 +226,124 @@ class TestZetaBands:
             assert np.array_equal(got, zeta_map(x, y, w, 4.5e-4, "mirror")[d:-d, d:-d])
         assert got.flags.c_contiguous
 
+    @staticmethod
+    def _point_symmetric(rng, m, n):
+        """A random plane equal to its point mirror bit for bit, but in columns
+        0 and N/2, which differ across the mirror as a real plane's do."""
+        r = rng.random((m, n))
+        plane = r + r[np.ix_(-np.arange(m) % m, -np.arange(n) % n)]
+        plane[:, 0] += 1e-3 * rng.random(m)
+        plane[:, n // 2] += 1e-3 * rng.random(m)
+        return plane
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        radius=st.integers(1, 6),
+        padding=st.sampled_from(PADDING_MODES),
+        bands=st.integers(0, 3),
+        offset=st.sampled_from(["exact", "+d", "-d", "+1", "short"]),
+        short=st.integers(1, 12),
+        width=st.integers(13, 48),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mirrored_map_matches_whole_plane_oracle(
+        self, radius, padding, bands, offset, short, width, seed
+    ):
+        # point-symmetric planes at the band height's multiples, those
+        # multiples +- the radius, odd heights and widths (which are computed
+        # whole), and narrow widths whose column strips meet
+        d = radius
+        size = 2 * d + 1
+        extra = {"exact": 0, "+d": d, "-d": -d, "+1": 1, "short": 1 + short % (size - 1)}
+        height = max(size, bands * ZETA_BAND_ROWS + extra[offset])
+        width = max(size, width)
+        rng = np.random.default_rng(seed)
+        x = self._point_symmetric(rng, height, width)
+        y = self._point_symmetric(rng, height, width)
+        w = gaussian_window(radius, 1.5)
+        with pytest.MonkeyPatch.context() as mp:
+            covered = self._record_coverage(mp, x)
+            got = zeta_map(x, y, w, 4.5e-4, padding)
+        assert np.array_equal(got, zeta_whole_plane(x, y, w, 4.5e-4, padding))
+        assert got.flags.c_contiguous
+        if height % 2 or width % 2:
+            assert covered.all()
+
+    @staticmethod
+    def _record_coverage(monkeypatch, plane):
+        """The bins of ``plane`` that the slabs given to ``_moments`` span."""
+        covered = np.zeros(plane.shape, dtype=bool)
+        real = tpsdvqa.metric._moments
+
+        def recording(x, *args):
+            row, col = divmod((x.ctypes.data - plane.ctypes.data) // x.itemsize, plane.shape[1])
+            covered[row : row + x.shape[0], col : col + x.shape[1]] = True
+            return real(x, *args)
+
+        monkeypatch.setattr(tpsdvqa.metric, "_moments", recording)
+        return covered
+
+    @pytest.mark.parametrize("center_dc", [True, False])
+    def test_only_point_symmetric_planes_are_mirrored(self, monkeypatch, rng, center_dc):
+        frames = random_frames(rng, 768, 432, 4)
+        noise = rng.integers(-8, 9, (4, 432, 768))
+        noisy = [LumaFrame(np.clip(f.pixels + e, 0, 255)) for f, e in zip(frames, noise)]
+        ref, dist = normalize_planes(
+            tpsd_of_tensor(frames, center_dc), tpsd_of_tensor(noisy, center_dc)
+        )
+        w = gaussian_window(5, 1.5)
+        want = zeta_whole_plane(ref, dist, w, 4.5e-4, "mirror")
+        covered = self._record_coverage(monkeypatch, ref)
+        assert np.array_equal(zeta_map(ref, dist, w), want)
+        assert covered.mean() <= 0.6
+        # one interior bin off the mirror, and the map is computed whole
+        dist[100, 200] = -dist[100, 200]
+        want = zeta_whole_plane(ref, dist, w, 4.5e-4, "mirror")
+        covered[...] = False
+        assert np.array_equal(zeta_map(ref, dist, w), want)
+        assert covered.all()
+
+    def test_an_asymmetric_window_is_computed_whole(self, monkeypatch, rng):
+        x = self._point_symmetric(rng, 2 * ZETA_BAND_ROWS, 40)
+        y = self._point_symmetric(rng, 2 * ZETA_BAND_ROWS, 40)
+        w = np.array([0.1, 0.2, 0.4, 0.2, 0.1, 0.0, 0.0])
+        want = zeta_whole_plane(x, y, w, 4.5e-4, "mirror")
+        covered = self._record_coverage(monkeypatch, x)
+        assert np.array_equal(zeta_map(x, y, w), want)
+        assert covered.all()
+
+    def test_no_two_threads_write_one_bin(self, rng):
+        # on planes this narrow the column strips of the lower rows meet; a
+        # bin written by both threads would be divided twice when their
+        # blocks interleave, which a short switch interval makes likely
+        w = gaussian_window(4, 1.5)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(30):
+                x = self._point_symmetric(rng, 8 * ZETA_BAND_ROWS, 16)
+                y = self._point_symmetric(rng, 8 * ZETA_BAND_ROWS, 16)
+                want = zeta_whole_plane(x, y, w, 4.5e-4, "mirror")
+                assert np.array_equal(zeta_map(x, y, w), want)
+        finally:
+            sys.setswitchinterval(old)
+
+    def test_mirrored_memory_is_a_few_bands(self, rng):
+        m, n = 720, 1280
+        ref = self._point_symmetric(rng, m, n)
+        dist = self._point_symmetric(rng, m, n)
+        w = gaussian_window(5, 1.5)
+        plane_bytes = m * n * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            zeta_map(ref, dist, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 3 * plane_bytes
+
     def test_memory_is_a_few_bands_not_five_planes(self, rng):
         m, n = 720, 1280
         ref = rng.random((m, n))
@@ -277,6 +397,16 @@ class TestZetaBands:
         zeta_map(x, x.copy(), gaussian_window(2, 1.0))
         assert threading.active_count() == before
         assert seen == [caller]
+
+    def test_one_mirrored_band_starts_no_thread(self, monkeypatch, rng):
+        caller, seen = self._record_bands(monkeypatch)
+        x = self._point_symmetric(rng, ZETA_BAND_ROWS, 20)
+        before = threading.active_count()
+        covered = self._record_coverage(monkeypatch, x)
+        zeta_map(x, self._point_symmetric(rng, ZETA_BAND_ROWS, 20), gaussian_window(2, 1.0))
+        assert threading.active_count() == before
+        assert not covered.all()
+        assert set(seen) == {caller}
 
     @pytest.mark.parametrize(
         "fail_on, raised",

@@ -96,6 +96,23 @@ class TestTpsd:
         mirrored = plane[np.ix_((m - np.arange(m)) % m, (n - np.arange(n)) % n)]
         assert rel_err(mirrored, plane) < 1e-9
 
+    @pytest.mark.parametrize("shape", [(6, 8, 3), (7, 8, 3), (6, 9, 3), (7, 9, 2)])
+    def test_centering_is_exactly_fftshift(self, rng, shape):
+        frames = frames_of(rng.random(shape) * 255)
+        centered = tpsd_of_tensor(frames, center_dc=True)
+        shifted = np.fft.fftshift(tpsd_of_tensor(frames, center_dc=False))
+        assert np.array_equal(centered.view(np.int64), shifted.view(np.int64))
+
+    @pytest.mark.parametrize("shape", [(6, 8, 3), (7, 8, 3), (6, 9, 3), (7, 9, 2), (1, 4, 2)])
+    def test_point_mirror_is_exact_but_in_columns_0_and_n_half(self, rng, shape):
+        # the columns the real-input transform computes on both sides of the
+        # mirror: 0, and N/2 when N is even
+        plane = tpsd_of_tensor(frames_of(rng.random(shape) * 255), center_dc=False)
+        m, n = plane.shape
+        mirrored = plane[np.ix_((m - np.arange(m)) % m, (n - np.arange(n)) % n)]
+        other = [k for k in range(n) if k not in (0, n / 2)]
+        assert np.array_equal(mirrored[:, other], plane[:, other])
+
     def test_scale_quadratic(self, rng):
         x = rng.random((4, 6, 3)) * 100
         s = 3.0
