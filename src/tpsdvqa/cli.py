@@ -214,6 +214,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    if args.level is not None and args.distort is None:
+        raise ValueError("--level requires --distort")
     frames = PATTERNS[args.pattern](args)
 
     distortion = None

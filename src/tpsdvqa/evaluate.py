@@ -38,7 +38,7 @@ from .errors import (
     REPORTED_ERRORS,
 )
 from . import metric
-from .metric import MetricConfig, video_score
+from .metric import MetricConfig
 from .video_io import LumaFrame, read_yuv420_file
 
 __all__ = [
@@ -259,8 +259,10 @@ def score_manifest(
     Entries that share a reference clip, geometry and frame range form a
     group; groups run in the order of their first entries. A group opens its
     reference and its entries' clips once and scores them in one walk of its
-    tensors, ``metric._score_tensors``, the loop ``assess`` runs for one clip;
-    the entries' PSNRs are then taken two at a time on the calling thread and
+    tensors, ``metric._score_tensors``, the loop ``assess`` runs for one clip,
+    which also pools each entry's tensor scores into its video score (the
+    group's reports share the walk's stage timings, which no result keeps); the
+    entries' PSNRs are then taken two at a time on the calling thread and
     one worker. Memory thus holds one reference plane and two distorted ones,
     whatever the clip length or the group size. A failure fails only its own
     entry, and a reference that cannot be opened, or whose plane fails, fails
@@ -300,24 +302,20 @@ def _score_group(
             dists[i] = read_yuv420_file(entry.dist_path, entry.width, entry.height)
         except REPORTED_ERRORS as exc:
             done[i] = _failed(i, entry, exc)
-    scored, _, _ = metric._score_tensors(ref_frames, list(dists.values()), cfg, frame_range)
-    ready = []
-    for i, (scores, exc) in zip(dists, scored):
-        # the pooled score's error comes before the PSNR's, as it would one entry at a time
-        if exc is None:
-            score, exc = metric._attempt(lambda: video_score(scores, cfg.beta))
-        if exc is None:
-            ready.append((i, score))
-        else:
+    scored = metric._score_tensors(ref_frames, list(dists.values()), cfg, frame_range)
+    reports = {i: report for i, (report, _) in zip(dists, scored) if report is not None}
+    # an entry whose score failed takes no PSNR, as it would one entry at a time
+    for i, (_, exc) in zip(dists, scored):
+        if exc is not None:
             done[i] = _failed(i, entries[i], exc)
     lo, hi = frame_range or (0, len(ref_frames) - 1)
     measured = metric._in_pairs(
-        lambda i: psnr(ref_frames[lo : hi + 1], dists[i][lo : hi + 1]), [i for i, _ in ready]
+        lambda i: psnr(ref_frames[lo : hi + 1], dists[i][lo : hi + 1]), list(reports)
     )
-    for (i, score), (psnr_db, exc) in zip(ready, measured):
+    for (i, report), (psnr_db, exc) in zip(reports.items(), measured):
         done[i] = (
             _failed(i, entries[i], exc) if exc is not None
-            else EntryResult(index=i, entry=entries[i], score=score, psnr_db=psnr_db)
+            else EntryResult(index=i, entry=entries[i], score=report.video_score, psnr_db=psnr_db)
         )
     return done
 

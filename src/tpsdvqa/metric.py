@@ -114,7 +114,9 @@ class MetricConfig:
 
 @dataclass(frozen=True)
 class QualityReport:
-    """Per-tensor scores and depths, the pooled video score, and stage timings."""
+    """Per-tensor scores and depths, the video score that ``_score_tensors``
+    pools from them, and the stage timings of its walk, which the reports of
+    one ``evaluate`` group share."""
 
     tensor_scores: tuple[float, ...]
     video_score: float
@@ -370,7 +372,8 @@ def _on_two_threads(here: Callable[[], Any], there: Callable[[], Any]) -> tuple[
     consistent only if each side makes at most one call to a function the
     tracer wraps, and that call makes no other: one ``tpsd_of_tensor`` or
     one ``psnr`` per side, or ``zeta_map``'s bands, which make none. A whole
-    ``assess`` per side breaks it.
+    ``assess`` per side breaks it. ``_score_tensors`` pools on the calling
+    thread once its walk is done.
     """
     workers = scipy.fft.get_workers()
 
@@ -382,28 +385,6 @@ def _on_two_threads(here: Callable[[], Any], there: Callable[[], Any]) -> tuple[
     with ThreadPoolExecutor(max_workers=1) as pool:
         pending = pool.submit(run_there)
         return here(), pending.result()
-
-
-def _plane_score(
-    planes: list[np.ndarray],
-    window: np.ndarray,
-    cfg: MetricConfig,
-    on_zeta: Callable[[np.ndarray], None] | None = None,
-) -> float:
-    """One tensor's score from its raw ``[reference, distorted]`` planes:
-    normalize, ``zeta_map``, then ``tensor_score``; ``on_zeta`` receives the
-    map before it is pooled.
-
-    The list is emptied, so a raw plane that nothing else holds is freed as
-    soon as it is normalized.
-    """
-    plane_r, plane_d = planes
-    planes.clear()
-    plane_r, plane_d = normalize_planes(plane_r, plane_d, cfg.plane_normalization)
-    zeta = zeta_map(plane_r, plane_d, window, cfg.stability_c, cfg.padding)
-    if on_zeta is not None:
-        on_zeta(zeta)
-    return tensor_score(zeta)
 
 
 def _attempt(fn: Callable[[], Any]) -> tuple[Any, Exception | None]:
@@ -436,19 +417,19 @@ def _score_tensors(
     cfg: MetricConfig,
     frame_range: tuple[int, int] | None = None,
     zeta_callback: Callable[[int, np.ndarray], None] | None = None,
-) -> tuple[
-    list[tuple[list[float] | None, Exception | None]], list[tuple[int, int]], dict[str, float]
-]:
-    """Each of ``dists``' ``(tensor scores, None)`` or ``(None, error)`` against
-    ``ref_frames``, the tensors' inclusive bounds, and the ``transform`` and
-    ``correlate`` seconds. A length that differs from the reference fails its
-    sequence alone; a bad range or window, checked before any transform or
-    kernel, or a failing reference plane fails every live sequence.
+) -> list[tuple[QualityReport | None, Exception | None]]:
+    """Each of ``dists``' ``(QualityReport, None)`` or ``(None, error)``
+    against ``ref_frames``. A length that differs from the reference fails
+    its sequence alone; a bad range or window, checked before any transform
+    or kernel, or a failing reference plane fails every live sequence.
 
     Per tensor, ``_in_pairs`` transforms the reference and then each live
     sequence, and each distorted plane is scored as its pair joins. The last
     live sequence takes the raw reference plane along, so it is freed once
-    normalized, and the walk stops once nothing is live.
+    normalized, and the walk stops once nothing is live. Each sequence still
+    live is then pooled with ``video_score``, whose error fails it alone;
+    the reports share one dict of ``transform``, ``correlate`` and ``pool``
+    seconds for the whole walk.
     """
     live: dict[int, list[float]] = {}
     errors: dict[int, Exception] = {}
@@ -474,12 +455,22 @@ def _score_tensors(
     except REPORTED_ERRORS as exc:
         fail_live(exc)
 
-    seconds = {"transform": 0.0, "correlate": 0.0}
+    def correlate(planes: list[np.ndarray]) -> float:
+        # the list is emptied, so a raw plane that nothing else holds is
+        # freed as soon as it is normalized
+        plane_r, plane_d = planes
+        planes.clear()
+        plane_r, plane_d = normalize_planes(plane_r, plane_d, cfg.plane_normalization)
+        zeta = zeta_map(plane_r, plane_d, window, cfg.stability_c, cfg.padding)
+        if zeta_callback is not None:
+            zeta_callback(index, zeta)
+        return tensor_score(zeta)
+
+    seconds = {"transform": 0.0, "correlate": 0.0, "pool": 0.0}
     for index, (lo, hi) in enumerate(bounds):
         if not live:
             break
         order = list(live)
-        on_zeta = None if zeta_callback is None else lambda zeta: zeta_callback(index, zeta)
         t0 = time.perf_counter()
         # each plane comes in a list that the scoring below takes it out of
         outcomes = _in_pairs(
@@ -495,7 +486,7 @@ def _score_tensors(
             seconds["transform"] += t1 - t0
             if exc is None:
                 planes = [ref.pop() if k == order[-1] else ref[0], plane.pop()]
-                score, exc = _attempt(lambda: _plane_score(planes, window, cfg, on_zeta))
+                score, exc = _attempt(lambda: correlate(planes))
             if exc is None:
                 live[k].append(score)
             else:
@@ -504,7 +495,14 @@ def _score_tensors(
             t0 = time.perf_counter()
             seconds["correlate"] += t0 - t1
         ref.clear()  # before the next tensor's planes are computed
-    return [(live.get(k), errors.get(k)) for k in range(len(dists))], bounds, seconds
+    depths = tuple(hi - lo + 1 for lo, hi in bounds)
+    t0 = time.perf_counter()
+    reports = {
+        k: _attempt(lambda: QualityReport(tuple(s), video_score(s, cfg.beta), depths, seconds))
+        for k, s in live.items()
+    }
+    seconds["pool"] = time.perf_counter() - t0
+    return [reports[k] if k in reports else (None, errors[k]) for k in range(len(dists))]
 
 
 def assess(
@@ -527,17 +525,7 @@ def assess(
     produced.
     """
     cfg = config or MetricConfig()
-    ((scores, exc),), bounds, timings = _score_tensors(
-        ref_frames, [dist_frames], cfg, frame_range, zeta_callback
-    )
+    ((report, exc),) = _score_tensors(ref_frames, [dist_frames], cfg, frame_range, zeta_callback)
     if exc is not None:
         raise exc
-    t0 = time.perf_counter()
-    pooled = video_score(scores, cfg.beta)
-    timings["pool"] = time.perf_counter() - t0
-    return QualityReport(
-        tensor_scores=tuple(scores),
-        video_score=pooled,
-        tensor_depths=tuple(hi - lo + 1 for lo, hi in bounds),
-        timings=timings,
-    )
+    return report

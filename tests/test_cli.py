@@ -413,6 +413,21 @@ class TestGenerate:
         assert code == 1
         assert "ValueError" in err
 
+    @pytest.mark.parametrize("level", ["4", "nan"])
+    def test_level_requires_distort(self, capsys, tmp_path, level):
+        # a level with nothing to apply it to is an error, not a record with
+        # an ignored (and for nan, non-JSON) level
+        out_path = tmp_path / "x.yuv"
+        code, out, err = run_cli(
+            capsys,
+            ["generate", "--out", str(out_path), "--width", "32", "--height", "32",
+             "--count", "2", "--level", level],
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: ValueError: --level requires --distort\n"
+        assert not out_path.exists()
+
 
 class TestDumpTpsd:
     def test_grids_match_library(self, capsys, clip_pair, tmp_path):

@@ -627,6 +627,33 @@ class TestReferenceReuse:
         assert result.error is None
         assert result.score == 0.125**0.5
 
+    @pytest.mark.parametrize("negative", [0, 1])
+    def test_negative_mean_fails_its_entry_alone_before_psnr(
+        self, shared_refs, monkeypatch, negative
+    ):
+        # a group of two on one tensor each: the entry whose mean is negative
+        # cannot be pooled with beta=0.5, so it fails and takes no PSNR
+        fake = iter([-0.25, 0.64] if negative == 0 else [0.64, -0.25])
+        monkeypatch.setattr(tpsdvqa.metric, "tensor_score", lambda zeta: next(fake))
+        measured = []
+        real_psnr = tpsdvqa.evaluate.psnr
+
+        def recording(ref, dist):
+            measured.append(dist.path)
+            return real_psnr(ref, dist)
+
+        monkeypatch.setattr(tpsdvqa.evaluate, "psnr", recording)
+        cfg = MetricConfig(tensor_len=8, beta=0.5)
+        results = score_manifest(self.entries(shared_refs, ("A", "A0"), ("A", "A1")), cfg)
+        failed, partner = results[negative], results[1 - negative]
+        assert (failed.error, failed.score, failed.psnr_db) == ("NegativeBase", None, None)
+        assert partner.error is None
+        assert partner.score == 0.64**0.5
+        assert measured == [partner.entry.dist_path]
+        ref = read_yuv420_file(shared_refs["A"], 64, 48)
+        dist = read_yuv420_file(partner.entry.dist_path, 64, 48)
+        assert partner.psnr_db == real_psnr(ref, dist)
+
     def test_memory_does_not_grow_with_clip_length(self, tmp_path):
         # one reference plane is held at a time, so a group of two 120-frame
         # entries peaks like a group of two 30-frame ones (4 tensors vs 1)
