@@ -134,8 +134,9 @@ def _optional_int(row: dict, key: str) -> int | None:
 def load_manifest(path: str | os.PathLike) -> tuple[ManifestEntry, ...]:
     """Parse a manifest CSV; relative video paths resolve next to the file.
 
-    A row missing a required column, with extra fields, or with a value that
-    does not convert or validate raises ValueError naming its line.
+    A row whose every field is blank is skipped. Any other row missing a
+    required column, with extra fields, or with a value that does not convert
+    or validate raises ValueError naming its physical line in the file.
     """
     base = os.path.dirname(os.path.abspath(path))
     entries = []
@@ -341,25 +342,16 @@ def correlation_report(
     ok = [r for r in results if r.error is None]
     failures = tuple(r for r in results if r.error is not None)
 
-    def score_of(r: EntryResult) -> float:
-        return r.score if which == "tpsd" else r.psnr_db  # type: ignore[return-value]
-
-    scores = [score_of(r) for r in ok]
-    labels = [r.entry.dmos for r in ok]
-    per_tag: dict[str, TagStats] = {}
-    for tag in sorted({r.entry.tag for r in results}):
-        group = [r for r in ok if r.entry.tag == tag]
-        g_scores = [score_of(r) for r in group]
-        g_labels = [r.entry.dmos for r in group]
-        per_tag[tag] = TagStats(
-            pcc=_safe_corr(pearson, g_scores, g_labels),
-            scc=_safe_corr(spearman, g_scores, g_labels),
+    def stats(group: list[EntryResult]) -> TagStats:
+        scores = [r.score if which == "tpsd" else r.psnr_db for r in group]
+        labels = [r.entry.dmos for r in group]
+        return TagStats(
+            pcc=_safe_corr(pearson, scores, labels),
+            scc=_safe_corr(spearman, scores, labels),
             n=len(group),
         )
-    return CorrelationReport(
-        pcc=_safe_corr(pearson, scores, labels),
-        scc=_safe_corr(spearman, scores, labels),
-        per_tag=per_tag,
-        n=len(ok),
-        failures=failures,
-    )
+
+    tags = sorted({r.entry.tag for r in results})
+    per_tag = {tag: stats([r for r in ok if r.entry.tag == tag]) for tag in tags}
+    overall = stats(ok)
+    return CorrelationReport(overall.pcc, overall.scc, overall.n, per_tag, failures)

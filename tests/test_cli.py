@@ -690,6 +690,35 @@ class TestSettings:
             assert f"(default {getattr(MetricConfig(), name)})" in text, name
         assert text.count("(default ") == len(fields)
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [("TRUE", True), ("yes", True), ("on", True), ("1", True), ("off", False), ("0", False)],
+    )
+    def test_center_dc_reads_boolean_words(self, capsys, clip_pair, text, value):
+        ref_path, dist_path = clip_pair
+        code, out, _ = run_cli(
+            capsys,
+            ["score", "--ref", str(ref_path), "--dist", str(dist_path), "--center-dc", text]
+            + SMALL,
+        )
+        assert code == 0
+        summary = [r for r in parse_records(out) if r["record"] == "summary"][0]
+        assert summary["config"]["center_dc"] is value
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--center-dc", "maybe", "argument --center-dc: expected a boolean, got 'maybe'"),
+            ("--frames", "3", "argument --frames: expected START:END, got '3'"),
+            ("--frames", "a:b", "argument --frames: expected START:END, got 'a:b'"),
+        ],
+    )
+    def test_unparsable_value_is_a_usage_error(self, capsys, flag, value, message):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["score"] + self.REQUIRED["score"] + [flag, value])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.rstrip().endswith(f"error: {message}")
+
 
 class TestEntryPoint:
     def test_module_invocation(self, clip_pair):

@@ -24,6 +24,7 @@ from tpsdvqa.errors import (
 from tpsdvqa.evaluate import (
     EntryResult,
     ManifestEntry,
+    TagStats,
     correlation_report,
     load_manifest,
     pearson,
@@ -323,6 +324,16 @@ class TestManifest:
         with pytest.raises(ValueError, match=f"^manifest line 3: {message}"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("blank", [",,,,,", " , ,  ,,, "])
+    def test_blank_row_is_skipped_and_lines_stay_physical(self, tmp_path, blank):
+        path = tmp_path / "gaps.csv"
+        header = "ref_path,dist_path,width,height,dmos,tag\n"
+        path.write_text(f"{header}r.yuv,d1.yuv,4,4,1.0,x\n{blank}\nr.yuv,d2.yuv,4,4,2.0,x\n")
+        assert [e.dmos for e in load_manifest(path)] == [1.0, 2.0]
+        path.write_text(f"{header}r.yuv,d1.yuv,4,4,1.0,x\n{blank}\nr.yuv,d2.yuv,4,4,bad,x\n")
+        with pytest.raises(ValueError, match="^manifest line 4: could not convert"):
+            load_manifest(path)
+
     def test_paths_keep_their_spelling(self, tmp_path):
         # paths are compared by the file they name, never rewritten
         path = tmp_path / "set.csv"
@@ -497,6 +508,20 @@ class TestEvaluateDataset:
         assert report.n == 1
         assert report.pcc is None and report.scc is None
         assert report.per_tag["only"].pcc is None
+
+    @pytest.mark.parametrize("which", ["tpsd", "psnr"])
+    def test_a_single_tag_reports_the_overall_figures(self, which):
+        # a lone tag's figures equal the overall ones, null rules included:
+        # the infinite PSNR leaves only the PSNR Pearson undefined
+        rows = [(0.9, 30.0, 1.0), (0.7, math.inf, 4.0), (0.8, 25.0, 2.0), (0.5, 20.0, 3.0)]
+        results = [
+            EntryResult(i, ManifestEntry(f"r{i}.yuv", f"d{i}.yuv", 4, 4, dmos, "t"), score, db)
+            for i, (score, db, dmos) in enumerate(rows)
+        ]
+        failed = EntryResult(4, ManifestEntry("r.yuv", "d.yuv", 4, 4, 5.0, "t"), error="OSError")
+        report = correlation_report(results + [failed], which)
+        assert report.n == 4 and report.scc is not None
+        assert report.per_tag == {"t": TagStats(report.pcc, report.scc, report.n)}
 
 
 def _per_entry(index, entry, cfg):
@@ -853,3 +878,18 @@ class TestEntryPairs:
                 tracemalloc.stop()
             assert all(r.error is None for r in results)
         assert peaks[2] <= 1.1 * peaks[1], peaks
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: psnr([], []), "need at least one frame"),
+        (lambda: correlation_report([], "mos"), "which must be 'tpsd' or 'psnr', got 'mos'"),
+    ],
+    ids=["psnr-no-frames", "report-column"],
+)
+def test_input_check_message(call, message):
+    with pytest.raises(ValueError) as exc_info:
+        call()
+    assert type(exc_info.value) is ValueError
+    assert str(exc_info.value) == message

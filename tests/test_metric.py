@@ -815,3 +815,24 @@ class TestMetricConfig:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             MetricConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: normalize_planes(np.ones((4, 4)), np.ones((4, 4)), "bogus"),
+            "unknown normalization 'bogus'",
+        ),
+        (
+            lambda: zeta_map(np.ones((16, 16, 1)), np.ones((16, 16, 1)), gaussian_window(2, 1.0)),
+            "plane must be 2D, got 3D",
+        ),
+    ],
+    ids=["normalize-mode", "zeta-3d"],
+)
+def test_input_check_message(call, message):
+    with pytest.raises(ValueError) as exc_info:
+        call()
+    assert type(exc_info.value) is ValueError
+    assert str(exc_info.value) == message

@@ -203,3 +203,24 @@ class TestGridFormat:
         path.write_text("2 2\n0 1\n")
         with pytest.raises(ValueError):
             read_grid(path)
+
+
+def _grid_file(directory, text):
+    path = directory / "plane.grid"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda d: write_grid(np.zeros(3), d / "plane.grid"), "grid dump needs a 2D array, got 1D"),
+        (lambda d: read_grid(_grid_file(d, "3\n")), "grid header must be '<rows> <cols>'"),
+    ],
+    ids=["write-1d", "read-one-field-header"],
+)
+def test_input_check_message(tmp_path, call, message):
+    with pytest.raises(ValueError) as exc_info:
+        call(tmp_path)
+    assert type(exc_info.value) is ValueError
+    assert str(exc_info.value) == message

@@ -218,3 +218,23 @@ class TestApplyDistortion:
         ]
         assert all(b >= a for a, b in zip(deviations, deviations[1:]))
         assert deviations[-1] > deviations[0]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: DistortionSpec("gaussian-noise", 1.0, seed=-1),
+            "seed must fit in 64 unsigned bits, got -1",
+        ),
+        (lambda: make_noise_sequence(8, 8, 0), "frame_count must be positive, got 0"),
+        (lambda: make_moving_texture(8, 8, 0), "frame_count must be positive, got 0"),
+        (lambda: make_moving_texture(4, 4, 2), "texture needs at least 8x8, got 4x4"),
+    ],
+    ids=["negative-seed", "noise-no-frames", "texture-no-frames", "texture-too-small"],
+)
+def test_input_check_message(call, message):
+    with pytest.raises(ValueError) as exc_info:
+        call()
+    assert type(exc_info.value) is ValueError
+    assert str(exc_info.value) == message

@@ -272,3 +272,15 @@ class TestGroupTensors:
         # order preserved: the tensors tile the selection from its first frame
         assert bounds[0][0] == start
         assert all(b[0] == a[1] + 1 for a, b in zip(bounds, bounds[1:]))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: LumaFrame(np.zeros((2, 2, 2))), "luma frame must be 2D, got 3D")],
+    ids=["frame-3d"],
+)
+def test_input_check_message(call, message):
+    with pytest.raises(ValueError) as exc_info:
+        call()
+    assert type(exc_info.value) is ValueError
+    assert str(exc_info.value) == message
