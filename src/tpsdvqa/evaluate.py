@@ -227,20 +227,27 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
 def psnr(ref: Sequence[LumaFrame], dist: Sequence[LumaFrame]) -> float:
     """Peak signal-to-noise ratio in dB over all luma samples of all frames.
 
-    Returns +inf for bit-identical inputs.
+    Returns +inf for bit-identical inputs. Two ``uint8`` frames add their squared
+    error in integers, so 8-bit input is exact at any clip length; other frames
+    add a float64 sum, exact only while the total stays below 2**53.
     """
     if len(ref) != len(dist):
         raise FrameCountMismatch(f"{len(ref)} reference frames vs {len(dist)} distorted")
     if not ref:
         raise ValueError("need at least one frame")
-    total = 0.0
+    total = 0
     samples = 0
     for r, d in zip(ref, dist):
         if r.pixels.shape != d.pixels.shape:
             raise DimensionMismatch(f"frame shapes differ: {r.pixels.shape} vs {d.pixels.shape}")
-        diff = np.subtract(r.pixels, d.pixels, dtype=np.float64)
-        total += float(np.einsum("ij,ij->", diff, diff))
-        samples += diff.size
+        if r.pixels.dtype == d.pixels.dtype == np.uint8:
+            # |r - d| in uint8, its square in uint16, their sum in uint64
+            err = np.maximum(r.pixels, d.pixels) - np.minimum(r.pixels, d.pixels)
+            total += int(np.multiply(err, err, dtype=np.uint16).sum(dtype=np.uint64))
+        else:
+            diff = np.subtract(r.pixels, d.pixels, dtype=np.float64)
+            total += float(np.einsum("ij,ij->", diff, diff))
+        samples += r.pixels.size
     mse = total / samples
     if mse == 0.0:
         return math.inf

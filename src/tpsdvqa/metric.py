@@ -197,24 +197,32 @@ def _workspace(shape: tuple[int, int]) -> list[np.ndarray]:
 
 
 def _moments(
-    x: np.ndarray, y: np.ndarray, window: np.ndarray, work: list[np.ndarray]
+    x: np.ndarray,
+    y: np.ndarray,
+    window: np.ndarray,
+    work: list[np.ndarray],
+    ref_side: tuple[np.ndarray, np.ndarray] | None = None,
+    bins: tuple[slice, slice] = (slice(None), slice(None)),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The five mirror-padded moments of ``local_moments``, unchecked.
+    """The five mirror-padded moments of ``local_moments`` at ``bins``, unchecked.
 
     They are computed in place in ``work`` (from ``_workspace(x.shape)``), so
-    the call allocates no array; the results are its first five arrays.
+    the call allocates no array; the results are views of its first five
+    arrays, or ``ref_side``, an earlier call's ``(mu_x, sigma_x)`` for this
+    ``x``, in place of x's two, whose passes are then skipped.
     """
     mu_x, mu_y, sigma_x, sigma_y, cov, scratch, product = work
-    _smooth(x, window, scratch, mu_x)
-    _smooth(y, window, scratch, mu_y)
-    for v, mu, sigma in ((x, mu_x, sigma_x), (y, mu_y, sigma_y)):
+    for v, mu, sigma in [(x, mu_x, sigma_x), (y, mu_y, sigma_y)][ref_side is not None :]:
+        _smooth(v, window, scratch, mu)
         _smooth(np.multiply(v, v, out=product), window, scratch, sigma)
         sigma -= np.multiply(mu, mu, out=product)
         np.maximum(sigma, 0.0, out=sigma)
         np.sqrt(sigma, out=sigma)
+    mu_x, sigma_x = (mu_x[bins], sigma_x[bins]) if ref_side is None else ref_side
     _smooth(np.multiply(x, y, out=product), window, scratch, cov)
-    cov -= np.multiply(mu_x, mu_y, out=product)
-    return mu_x, mu_y, sigma_x, sigma_y, cov
+    cov = cov[bins]
+    cov -= np.multiply(mu_x, mu_y[bins], out=product[bins])
+    return mu_x, mu_y[bins], sigma_x, sigma_y[bins], cov
 
 
 def local_moments(
@@ -251,6 +259,8 @@ def zeta_map(
     window: np.ndarray,
     c: float = 4.5e-4,
     padding: str = "mirror",
+    *,
+    ref_store: dict | None = None,
 ) -> np.ndarray:
     """Local cross-correlation map between reference and distorted planes.
 
@@ -278,6 +288,10 @@ def zeta_map(
     A plane of more than one band has its even blocks computed on the
     calling thread and its odd ones on a worker, as ``_on_two_threads``
     runs them; each block writes only its own bins.
+
+    ``ref_store``, a dict kept over calls with one ``ref`` and ``window``, keeps
+    each block's ``mu_x`` and ``sigma_x`` by its bounds, so that a later call
+    makes 3 of the 5 smoothing passes there, with the same bits.
     """
     _require_finite_positive("stability constant", c)
     x, y, keep = _plane_pair(ref, dist, window, padding)
@@ -305,11 +319,15 @@ def zeta_map(
             left, right = max(0, first - d), min(n, end + d)
             part = slice(lo, hi), slice(left, right)
             slab = [w[: hi - lo, : right - left] for w in work]
-            _, _, sigma_x, sigma_y, cov = _moments(x[part], y[part], window, slab)
             bins = slice(start - lo, stop - lo), slice(first - left, end - left)
+            key = (start, stop, first, end)
+            shared = None if ref_store is None else ref_store.get(key)
+            mu_x, _, sigma_x, sigma_y, cov = _moments(x[part], y[part], window, slab, shared, bins)
+            if ref_store is not None and shared is None:
+                ref_store[key] = mu_x.copy(), sigma_x.copy()
             # (cov + c) / (sigma_x * sigma_y + c), computed in place
-            out = np.add(cov[bins], c, out=zeta[start:stop, first:end])
-            den = np.multiply(sigma_x[bins], sigma_y[bins], out=sigma_x[bins])
+            out = np.add(cov, c, out=zeta[start:stop, first:end])
+            den = np.multiply(sigma_x, sigma_y, out=sigma_y)
             den += c
             out /= den
 
@@ -461,7 +479,7 @@ def _score_tensors(
         plane_r, plane_d = planes
         planes.clear()
         plane_r, plane_d = normalize_planes(plane_r, plane_d, cfg.plane_normalization)
-        zeta = zeta_map(plane_r, plane_d, window, cfg.stability_c, cfg.padding)
+        zeta = zeta_map(plane_r, plane_d, window, cfg.stability_c, cfg.padding, ref_store=ref_store)
         if zeta_callback is not None:
             zeta_callback(index, zeta)
         return tensor_score(zeta)
@@ -471,6 +489,8 @@ def _score_tensors(
         if not live:
             break
         order = list(live)
+        # with two or more live entries, their zeta maps share the reference side
+        ref_store = {} if len(order) > 1 else None
         t0 = time.perf_counter()
         # each plane comes in a list that the scoring below takes it out of
         outcomes = _in_pairs(
@@ -495,6 +515,7 @@ def _score_tensors(
             t0 = time.perf_counter()
             seconds["correlate"] += t0 - t1
         ref.clear()  # before the next tensor's planes are computed
+        ref_store = None
     depths = tuple(hi - lo + 1 for lo, hi in bounds)
     t0 = time.perf_counter()
     reports = {

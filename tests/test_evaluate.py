@@ -224,6 +224,36 @@ class TestPsnr:
         )
         assert psnr(ref, dist) == 10.0 * math.log10(255.0**2 / (sse / (4 * 64 * 48)))
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        height=st.integers(1, 40),
+        width=st.integers(1, 40),
+        count=st.integers(1, 4),
+        spread=st.sampled_from([0, 1, 8, 255]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_8_bit_frames_sum_an_exact_integer(self, height, width, count, spread, seed):
+        rng = np.random.default_rng(seed)
+        ref = rng.integers(0, 256, (count, height, width), dtype=np.uint8)
+        noise = rng.integers(-spread, spread + 1, ref.shape)
+        dist = np.clip(ref + noise, 0, 255).astype(np.uint8)
+        sse = int(((ref.astype(np.int64) - dist) ** 2).sum())
+        got = psnr([LumaFrame(f) for f in ref], [LumaFrame(f) for f in dist])
+        if sse == 0:
+            assert got == math.inf
+        else:
+            assert got == 10.0 * math.log10(255.0**2 / (sse / ref.size))
+
+    def test_other_dtypes_take_the_float_sum(self, rng):
+        ref = random_frames(rng, 24, 16, 3)
+        dist = [LumaFrame(f.pixels + rng.random(f.pixels.shape)) for f in ref]
+        total = 0.0
+        for r, d in zip(ref, dist):
+            diff = np.subtract(r.pixels, d.pixels, dtype=np.float64)
+            total += float(np.einsum("ij,ij->", diff, diff))
+        assert psnr(ref, dist) == 10.0 * math.log10(255.0**2 / (total / (3 * 24 * 16)))
+        assert psnr(dist, dist) == math.inf
+
     def test_frame_count_mismatch(self, rng):
         frames = random_frames(rng, 4, 4, 3)
         with pytest.raises(FrameCountMismatch):

@@ -269,6 +269,57 @@ class TestZetaBands:
         if height % 2 or width % 2:
             assert covered.all()
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        radius=st.integers(1, 6),
+        padding=st.sampled_from(PADDING_MODES),
+        bands=st.integers(0, 3),
+        offset=st.sampled_from(["exact", "+d", "-d", "+1"]),
+        width=st.integers(13, 48),
+        kinds=st.lists(st.sampled_from(["symmetric", "perturbed"]), min_size=3, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_shared_reference_store_keeps_every_bit(
+        self, radius, padding, bands, offset, width, kinds, seed
+    ):
+        # one reference against several distorted planes, mirrored ones and
+        # ones computed whole, so the store is read by blocks of both kinds
+        d = radius
+        size = 2 * d + 1
+        extra = {"exact": 0, "+d": d, "-d": -d, "+1": 1}
+        height = max(size, bands * ZETA_BAND_ROWS + extra[offset])
+        width = max(size, width)
+        rng = np.random.default_rng(seed)
+        x = self._point_symmetric(rng, height, width)
+        w = gaussian_window(radius, 1.5)
+        store = {}
+        for kind in kinds:
+            y = self._point_symmetric(rng, height, width)
+            if kind == "perturbed":
+                # column 1 mirrors to column N-1, so this bin breaks the symmetry
+                y[rng.integers(height), 1] += 1.0
+            want = zeta_map(x, y, w, 4.5e-4, padding)
+            assert np.array_equal(zeta_map(x, y, w, 4.5e-4, padding, ref_store=store), want)
+        # each entry holds a block's bins of mu_x and sigma_x, nothing more
+        for (start, stop, first, end), moments in store.items():
+            assert [m.shape for m in moments] == [(stop - start, end - first)] * 2
+
+    def test_a_store_filled_and_read_on_two_threads_keeps_every_bit(self, rng):
+        # the caller and the worker fill and read the store's blocks; a short
+        # switch interval makes their blocks interleave
+        w = gaussian_window(4, 1.5)
+        x = self._point_symmetric(rng, 8 * ZETA_BAND_ROWS, 16)
+        store = {}
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                y = self._point_symmetric(rng, 8 * ZETA_BAND_ROWS, 16)
+                want = zeta_map(x, y, w)
+                assert np.array_equal(zeta_map(x, y, w, ref_store=store), want)
+        finally:
+            sys.setswitchinterval(old)
+
     @staticmethod
     def _record_coverage(monkeypatch, plane):
         """The bins of ``plane`` that the slabs given to ``_moments`` span."""
@@ -655,6 +706,38 @@ class TestAssess:
         assert len(in_use) == 2
         plane = width * height * 8
         assert max(in_use) - base < 2.5 * plane, [(m - base) / plane for m in in_use]
+
+    def test_reference_side_is_smoothed_once_per_block(self, monkeypatch):
+        # a group of 3 entries smooths the reference's mu_x and E[x^2] once
+        # per zeta block and each entry's 3 other passes; one entry alone
+        # makes all 5 passes per block
+        calls = []  # appended from both threads, as list.append is atomic
+
+        def counted(name):
+            real = getattr(tpsdvqa.metric, name)
+
+            def counting(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return counting
+
+        for name in ("_smooth", "_moments"):
+            monkeypatch.setattr(tpsdvqa.metric, name, counted(name))
+        frames = make_moving_texture(48, 3 * ZETA_BAND_ROWS, 4, seed=3)
+        dists = [
+            apply_distortion(frames, DistortionSpec("gaussian-noise", level, seed=4))
+            for level in (4.0, 12.0, 36.0)
+        ]
+        cfg = MetricConfig(tensor_len=4)
+        assess(frames, dists[0], cfg)
+        assert calls.count("_moments") > 1
+        assert calls.count("_smooth") == 5 * calls.count("_moments")
+        calls.clear()
+        scored = tpsdvqa.metric._score_tensors(frames, dists, cfg)
+        assert [exc for _, exc in scored] == [None] * 3
+        blocks = calls.count("_moments") // 3
+        assert calls.count("_smooth") == 2 * blocks + 3 * 3 * blocks
 
     def test_frame_count_mismatch(self):
         frames = make_moving_texture(32, 32, 6, seed=1)
