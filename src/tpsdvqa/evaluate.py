@@ -264,19 +264,19 @@ def score_manifest(
 ) -> list[EntryResult]:
     """Score every manifest entry, collecting per-entry failures instead of aborting.
 
-    Entries that share a reference clip, geometry and frame range form a
-    group; groups run in the order of their first entries. A group opens its
-    reference and its entries' clips once and scores them in one walk of its
-    tensors, ``metric._score_tensors``, the loop ``assess`` runs for one clip,
-    which also pools each entry's tensor scores into its video score (the
-    group's reports share the walk's stage timings, which no result keeps); the
-    entries' PSNRs are then taken two at a time on the calling thread and
-    one worker. Memory thus holds one reference plane and two distorted ones,
-    whatever the clip length or the group size. A failure fails only its own
-    entry, and a reference that cannot be opened, or whose plane fails, fails
-    every entry still live in its group. Results come back in manifest order,
-    equal to scoring each entry on its own. A manifest without entries raises
-    EmptyManifest.
+    Entries that share a reference clip, geometry and frame range form a group;
+    groups run in the order of their first entries. A group opens its reference
+    and its entries' clips once and scores them in one walk of its tensors,
+    ``metric._score_tensors``, the loop ``assess`` runs for one clip, which also
+    pools each entry's tensor scores into its video score (the group's reports
+    share the walk's stage timings, which no result keeps); the entries' PSNRs
+    are then taken two at a time on the calling thread and one worker. Memory
+    thus holds one reference plane, normalized once per tensor with its raw
+    plane freed at once, and two distorted ones, whatever the clip length or the
+    group size. A failure fails only its own entry, and a reference that cannot
+    be opened, or whose plane fails, fails every entry still live in its group.
+    Results come back in manifest order, equal to scoring each entry on its own.
+    A manifest without entries raises EmptyManifest.
     """
     if not entries:
         raise EmptyManifest("manifest has no entries")

@@ -161,26 +161,30 @@ def _plane_pair(
     return x, y, (slice(d, m - d), slice(d, n - d))
 
 
+def _normalizer(ref: np.ndarray, mode: str) -> Callable[[np.ndarray], np.ndarray]:
+    """The per-plane map of ``normalize_planes``, fixed by the reference plane."""
+    if mode == "log10":
+        return lambda plane: np.log10(1.0 + plane)
+    scale = float(ref.max()) if mode == "ref-max" else 0.0
+    # the map keeps the scale, not the plane; a NaN maximum still divides
+    return (lambda plane: plane) if scale <= 0.0 else (lambda plane: plane / scale)
+
+
 def normalize_planes(
     ref: np.ndarray, dist: np.ndarray, mode: str = "ref-max"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Map a reference/distorted plane pair into the metric's working range.
 
     ``ref-max`` divides both planes by the reference plane's maximum entry
-    (no-op when the reference is all zeros); ``log10`` applies
-    ``log10(1 + plane)`` to each plane; ``none`` passes both through.
+    (no-op when the reference is all zeros), ``log10`` maps each plane to
+    ``log10(1 + plane)`` and ``none`` passes both through. Walks normalize each
+    tensor's reference plane once by this map, and free its raw plane at once.
     """
     if mode not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization {mode!r}")
     ref, dist, _ = _plane_pair(ref, dist)
-    if mode == "none":
-        return ref, dist
-    if mode == "ref-max":
-        scale = float(ref.max())
-        if scale <= 0.0:
-            return ref, dist
-        return ref / scale, dist / scale
-    return np.log10(1.0 + ref), np.log10(1.0 + dist)
+    normalize = _normalizer(ref, mode)
+    return normalize(ref), normalize(dist)
 
 
 def _smooth(
@@ -442,9 +446,9 @@ def _score_tensors(
     or kernel, or a failing reference plane fails every live sequence.
 
     Per tensor, ``_in_pairs`` transforms the reference and then each live
-    sequence, and each distorted plane is scored as its pair joins. The last
-    live sequence takes the raw reference plane along, so it is freed once
-    normalized, and the walk stops once nothing is live. Each sequence still
+    sequence. The reference plane is normalized once, its raw plane freed at
+    once, and each distorted plane normalized by the same map and scored as
+    its pair joins; the walk stops once nothing is live. Each sequence still
     live is then pooled with ``video_score``, whose error fails it alone;
     the reports share one dict of ``transform``, ``correlate`` and ``pool``
     seconds for the whole walk.
@@ -473,12 +477,7 @@ def _score_tensors(
     except REPORTED_ERRORS as exc:
         fail_live(exc)
 
-    def correlate(planes: list[np.ndarray]) -> float:
-        # the list is emptied, so a raw plane that nothing else holds is
-        # freed as soon as it is normalized
-        plane_r, plane_d = planes
-        planes.clear()
-        plane_r, plane_d = normalize_planes(plane_r, plane_d, cfg.plane_normalization)
+    def correlate(plane_r: np.ndarray, plane_d: np.ndarray) -> float:
         zeta = zeta_map(plane_r, plane_d, window, cfg.stability_c, cfg.padding, ref_store=ref_store)
         if zeta_callback is not None:
             zeta_callback(index, zeta)
@@ -501,12 +500,14 @@ def _score_tensors(
         if exc is not None:
             fail_live(exc)  # its error wins over its partner's
             break
+        normalize = _normalizer(ref[0], cfg.plane_normalization)
+        ref = normalize(ref.pop())
         for k, (plane, exc) in zip(order, outcomes):
             t1 = time.perf_counter()
             seconds["transform"] += t1 - t0
             if exc is None:
-                planes = [ref.pop() if k == order[-1] else ref[0], plane.pop()]
-                score, exc = _attempt(lambda: correlate(planes))
+                # popped from its list, the raw plane is freed once normalized
+                score, exc = _attempt(lambda: correlate(ref, normalize(plane.pop())))
             if exc is None:
                 live[k].append(score)
             else:
@@ -514,8 +515,7 @@ def _score_tensors(
                 del live[k]
             t0 = time.perf_counter()
             seconds["correlate"] += t0 - t1
-        ref.clear()  # before the next tensor's planes are computed
-        ref_store = None
+        ref = ref_store = None  # before the next tensor's planes are computed
     depths = tuple(hi - lo + 1 for lo, hi in bounds)
     t0 = time.perf_counter()
     reports = {

@@ -16,6 +16,7 @@ from tpsdvqa.errors import (
     NegativeBase,
     PlaneTooSmall,
 )
+from tpsdvqa.evaluate import psnr
 from tpsdvqa.metric import (
     PADDING_MODES,
     ZETA_BAND_ROWS,
@@ -707,6 +708,60 @@ class TestAssess:
         plane = width * height * 8
         assert max(in_use) - base < 2.5 * plane, [(m - base) / plane for m in in_use]
 
+    def test_a_group_holds_two_planes_when_its_first_zeta_starts(self, monkeypatch):
+        # the reference plane is normalized once per tensor and its raw plane
+        # freed at once, so the first entry's zeta_map starts with the two
+        # normalized planes however many entries share the reference
+        width, height = 256, 192
+        frames = make_moving_texture(width, height, 8, seed=3)
+        dists = [
+            apply_distortion(frames, DistortionSpec("gaussian-noise", level, seed=4))
+            for level in (4.0, 12.0, 36.0)
+        ]
+        in_use = []
+        real = tpsdvqa.metric.zeta_map
+
+        def measuring(*args, **kwargs):
+            in_use.append(tracemalloc.get_traced_memory()[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tpsdvqa.metric, "zeta_map", measuring)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            scored = tpsdvqa.metric._score_tensors(frames, dists, MetricConfig(tensor_len=4))
+        finally:
+            tracemalloc.stop()
+        assert [exc for _, exc in scored] == [None] * 3
+        assert len(in_use) == 2 * 3
+        plane = width * height * 8
+        assert in_use[0] - base < 2.5 * plane, (in_use[0] - base) / plane
+
+    @pytest.mark.parametrize("mode", ["ref-max", "log10", "none"])
+    def test_group_maps_equal_normalize_planes_then_zeta_map(self, mode):
+        frames = make_moving_texture(48, 40, 8, seed=3)
+        dists = [
+            apply_distortion(frames, DistortionSpec("gaussian-noise", level, seed=4))
+            for level in (4.0, 12.0, 36.0)
+        ]
+        cfg = MetricConfig(tensor_len=4, window_radius=3, plane_normalization=mode)
+        seen = []
+        scored = tpsdvqa.metric._score_tensors(
+            frames, dists, cfg, zeta_callback=lambda i, z: seen.append((i, z))
+        )
+        assert [exc for _, exc in scored] == [None] * 3
+        window = gaussian_window(cfg.window_radius, cfg.window_sigma)
+        expected = []
+        for index, lo in enumerate((0, 4)):
+            plane_r = tpsd_of_tensor(frames[lo : lo + 4], cfg.center_dc)
+            for dist in dists:
+                plane_d = tpsd_of_tensor(dist[lo : lo + 4], cfg.center_dc)
+                planes = normalize_planes(plane_r, plane_d, mode)
+                expected.append((index, zeta_map(*planes, window, cfg.stability_c, cfg.padding)))
+        assert [i for i, _ in seen] == [i for i, _ in expected]
+        for (_, got), (_, want) in zip(seen, expected):
+            assert got.tobytes() == want.tobytes()
+
     def test_reference_side_is_smoothed_once_per_block(self, monkeypatch):
         # a group of 3 entries smooths the reference's mu_x and E[x^2] once
         # per zeta block and each entry's 3 other passes; one entry alone
@@ -832,7 +887,8 @@ class TestBlindSpots:
     """What the time-aggregated plane cannot see.
 
     The plane is a sum of per-frame 2D periodograms: it carries no temporal
-    order, and a periodogram ignores a circular shift of its frame.
+    order, and a periodogram ignores a circular shift of its frame. The walk
+    pairs tensors by position and sees only the frames its tensors take.
     """
 
     FRAMES = make_moving_texture(64, 48, 8, seed=21)
@@ -863,6 +919,52 @@ class TestBlindSpots:
         dist[3] = LumaFrame(np.pad(dist[3].pixels, ((0, 0), (7, 0)), mode="edge")[:, :-7])
         cfg = MetricConfig(tensor_len=8, plane_normalization="log10")
         assert assess(self.FRAMES, dist, cfg).video_score < 0.99
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_frame_offset_costs_more_than_visible_noise(self, seed):
+        # tensors pair by position, so a lag that changes no frame is scored
+        # as a distortion, and a worse one than noise of sigma 4
+        clip = make_moving_texture(128, 128, 31, seed=seed)
+        cfg = MetricConfig(tensor_len=30)
+        lagged = 1.0 - assess(clip[:30], clip[1:31], cfg).video_score
+        noisy = apply_distortion(clip[:30], DistortionSpec("gaussian-noise", 4.0, seed=500 + seed))
+        noise = 1.0 - assess(clip[:30], noisy, cfg).video_score
+        assert lagged > 10.0 * noise > 0.0, (lagged, noise)
+
+    def test_the_dropped_trailing_frame_is_unseen(self):
+        # 9 frames at tensor_len 4 make two tensors and drop frame 8, so
+        # changing only that frame leaves the score at exactly 1.0, while
+        # PSNR covers all 9 frames
+        clip = make_moving_texture(64, 48, 9, seed=1)
+        dist = list(clip)
+        dist[8] = LumaFrame(np.zeros_like(clip[8].pixels))
+        report = assess(clip, dist, MetricConfig(tensor_len=4))
+        assert report.tensor_depths == (4, 4)
+        assert report.video_score == 1.0
+        assert np.isfinite(psnr(clip, dist))
+
+
+class TestRefMaxFloor:
+    """A visible blur whose ``ref-max`` deficit falls below float resolution."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        ref = make_moving_texture(768, 432, 12, seed=0)
+        return ref, apply_distortion(ref, DistortionSpec("gaussian-blur", 0.75, seed=0))
+
+    def _score(self, pair, mode):
+        return assess(*pair, MetricConfig(tensor_len=12, plane_normalization=mode)).video_score
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 2: 1 - mean(zeta) loses a deficit below 1.1e-16, so this reads 1.0",
+    )
+    def test_ref_max_scores_the_blur_below_one(self, pair):
+        assert self._score(pair, "ref-max") < 1.0
+
+    @pytest.mark.parametrize("mode", ["log10", "none"])
+    def test_other_normalizations_score_the_blur_below_one(self, pair, mode):
+        assert self._score(pair, mode) < 1.0
 
 
 class TestMetricConfig:
