@@ -20,6 +20,7 @@ for experimentation.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -65,12 +66,18 @@ def _require_finite_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
+def _require_integral(name: str, value: object) -> None:
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value}")
+
+
 def gaussian_window(radius: int = 5, sigma: float = 1.5) -> np.ndarray:
     """The normalized 1D Gaussian kernel of length ``2*radius + 1``.
 
     The circular 2D window is its outer product with itself, so every
     smoothing pass correlates the plane with this kernel along each axis.
     """
+    _require_integral("window radius", radius)
     if radius < 1:
         raise ValueError(f"window radius must be >= 1, got {radius}")
     _require_finite_positive("window sigma", sigma)
@@ -97,6 +104,8 @@ class MetricConfig:
     padding: str = "mirror"
 
     def __post_init__(self) -> None:
+        for name in ("tensor_len", "window_radius"):
+            _require_integral(name, getattr(self, name))
         if self.tensor_len < 2:
             raise ValueError(f"tensor_len must be >= 2, got {self.tensor_len}")
         if self.window_radius < 1:
@@ -366,13 +375,16 @@ def tensor_score(zeta: np.ndarray) -> float:
 def video_score(tensor_scores: Sequence[float], beta: float = 1.0) -> float:
     """Mean-pool tensor scores, then raise to ``beta``.
 
-    A negative mean with a non-integral exponent has no real power; that is
-    surfaced as NegativeBase instead of a silent NaN.
+    A non-finite mean raises ValueError, and a negative mean with a
+    non-integral exponent, which has no real power, raises NegativeBase, so
+    no NaN or infinity is returned in silence.
     """
     if len(tensor_scores) == 0:
         raise ValueError("need at least one tensor score")
     _require_finite_positive("beta", beta)
     mean = float(np.mean(tensor_scores))
+    if not math.isfinite(mean):
+        raise ValueError(f"mean tensor score is not finite: {mean}")
     if mean < 0 and not float(beta).is_integer():
         raise NegativeBase(
             f"mean tensor score {mean:.6g} is negative; beta={beta} is not an integer"

@@ -9,9 +9,9 @@ Parseval's theorem along the time axis that plane is
 
     T[h, k] = (1/(M*N)) * sum_t |FFT2(frame_t)[h, k]|^2,
 
-which :func:`tpsd_of_tensor` computes one frame at a time, so neither the
-3D transform nor a stacked float64 tensor is needed. The definitional
-route, a direct-sum 3D DFT summed over temporal frequency, is
+which :func:`tpsd_of_tensor` folds one frame at a time into a ``_PowerSum``,
+so neither the 3D transform nor a stacked float64 tensor is needed. The
+definitional route, a direct-sum 3D DFT summed over temporal frequency, is
 ``tests/oracles.py::tpsd_direct``, against which the tests check this one.
 
 No window/taper is applied before the transform, and the mean (DC) is not
@@ -37,28 +37,26 @@ __all__ = [
 ]
 
 
-def tpsd_of_tensor(tensor: Sequence[LumaFrame], center_dc: bool = True) -> np.ndarray:
-    """Time-aggregated PSD plane straight from a tensor, one frame at a time.
+class _PowerSum:
+    """The plane of equally sized frames, folded in one at a time.
 
-    Returns the ``(M, N)`` float64 plane, with the zero-frequency bin moved
-    to ``(M//2, N//2)`` when ``center_dc`` is set. ``tensor`` is a sequence
-    of at least 2 equally sized frames, iterated once. Each frame is copied
-    into one float64 buffer and its real-input half spectrum folded into one
-    ``(M, N//2 + 1)`` accumulator, so memory is O(frame) whatever the depth,
-    and the dropped columns are restored from the plane's point symmetry
-    T[h, k] == T[(M-h) % M, (N-k) % N], by slice copies rotated by the DC
-    shift, so the unshifted plane equals its point mirror bit for bit outside
-    columns 0 and N/2. Its transient memory is about 2.5 planes.
+    The first ``fold`` makes one float64 frame buffer and one ``(M, N//2 + 1)``
+    half-spectrum power sum: memory is O(frame) whatever the depth. ``close``
+    frees the buffer, then builds the plane by slice copies rotated by the DC
+    shift, from the point symmetry T[h, k] == T[(M-h) % M, (N-k) % N], so the
+    unshifted plane equals its point mirror bit for bit outside columns 0 and
+    N/2; transient memory is about 2.5 planes.
     """
-    if len(tensor) < 2:
-        raise ValueError(f"tensor needs at least 2 frames, got {len(tensor)}")
-    frame = s_half = None
-    for pixels in (f.pixels for f in tensor):
+
+    def __init__(self, center_dc: bool = True) -> None:
+        self._center_dc, self._frame, self._sum = center_dc, None, None
+
+    def fold(self, pixels: np.ndarray) -> None:
+        frame = self._frame
         if frame is None:
             m, n = pixels.shape
-            n_half = n // 2 + 1
-            frame = np.empty((m, n), dtype=np.float64)
-            s_half = np.zeros((m, n_half), dtype=np.float64)
+            frame = self._frame = np.empty((m, n), dtype=np.float64)
+            self._sum = np.zeros((m, n // 2 + 1), dtype=np.float64)
         elif pixels.shape != frame.shape:
             raise ValueError(f"tensor frames disagree on shape: {pixels.shape} vs {frame.shape}")
         np.copyto(frame, pixels)
@@ -66,26 +64,43 @@ def tpsd_of_tensor(tensor: Sequence[LumaFrame], center_dc: bool = True) -> np.nd
         # products as re*re and im*im, without two more half planes
         spec = _fft.rfft2(frame).view(np.float64)
         np.multiply(spec, spec, out=spec)
-        s_half += spec[:, 0::2]
-        s_half += spec[:, 1::2]
-        del spec  # before the next frame's spectrum is allocated
-    del frame
-    s_half /= m * n
+        self._sum += spec[:, 0::2]
+        self._sum += spec[:, 1::2]
 
-    # plane bin (h, k) lands at ((h + rs) % M, (k + cs) % N); it is half-plane
-    # bin (h, k) for k < n_half, else ((M - h) % M, N - k) by symmetry: the
-    # half plane reversed in rows and columns, landing one row further down
-    rs, cs = (m // 2, n // 2) if center_dc else (0, 0)
-    kept, start = min(n - cs, n_half), (n_half + cs) % n  # kept: columns before a wrap
-    plane = np.empty((m, n), dtype=np.float64)
-    for cols, half, shift in (
-        (slice(cs, cs + kept), s_half[:, :kept], rs),
-        (slice(0, n_half - kept), s_half[:, kept:], rs),
-        (slice(start, start + n - n_half), s_half[::-1, n - n_half : 0 : -1], rs + 1),
-    ):
-        plane[shift:, cols] = half[: m - shift]
-        plane[:shift, cols] = half[m - shift :]
-    return plane
+    def close(self) -> np.ndarray:
+        (m, n), s_half = self._frame.shape, self._sum
+        self._frame = self._sum = None
+        n_half = n // 2 + 1
+        s_half /= m * n
+        # plane bin (h, k) lands at ((h + rs) % M, (k + cs) % N); it is half-plane
+        # bin (h, k) for k < n_half, else ((M - h) % M, N - k) by symmetry: the
+        # half plane reversed in rows and columns, landing one row further down
+        rs, cs = (m // 2, n // 2) if self._center_dc else (0, 0)
+        kept, start = min(n - cs, n_half), (n_half + cs) % n  # kept: columns before a wrap
+        plane = np.empty((m, n), dtype=np.float64)
+        for cols, half, shift in (
+            (slice(cs, cs + kept), s_half[:, :kept], rs),
+            (slice(0, n_half - kept), s_half[:, kept:], rs),
+            (slice(start, start + n - n_half), s_half[::-1, n - n_half : 0 : -1], rs + 1),
+        ):
+            plane[shift:, cols] = half[: m - shift]
+            plane[:shift, cols] = half[m - shift :]
+        return plane
+
+
+def tpsd_of_tensor(tensor: Sequence[LumaFrame], center_dc: bool = True) -> np.ndarray:
+    """Time-aggregated PSD plane straight from a tensor, one frame at a time.
+
+    Returns the ``(M, N)`` float64 plane, with the zero-frequency bin moved
+    to ``(M//2, N//2)`` when ``center_dc`` is set. ``tensor`` is a sequence
+    of at least 2 equally sized frames, iterated once into one ``_PowerSum``.
+    """
+    if len(tensor) < 2:
+        raise ValueError(f"tensor needs at least 2 frames, got {len(tensor)}")
+    acc = _PowerSum(center_dc)
+    for frame in tensor:
+        acc.fold(frame.pixels)
+    return acc.close()
 
 
 def write_grid(values: np.ndarray, dest: str | os.PathLike) -> None:

@@ -559,6 +559,11 @@ class TestPooling:
         assert video_score([-0.5], beta=2.0) == pytest.approx(0.25)
         assert video_score([-0.5], beta=3.0) == pytest.approx(-0.125)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_video_score_rejects_a_non_finite_mean(self, value):
+        with pytest.raises(ValueError, match="mean tensor score is not finite"):
+            video_score([0.5, value])
+
     def test_video_score_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError):
             video_score([], beta=1.0)
@@ -995,11 +1000,20 @@ class TestMetricConfig:
             {"beta": float("inf")},
             {"plane_normalization": "max"},
             {"padding": "wrap"},
+            {"tensor_len": 2.5},
+            {"tensor_len": 4.0},
+            {"window_radius": 2.5},
+            {"window_radius": 5.0},
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             MetricConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        cfg = MetricConfig(tensor_len=np.int64(4), window_radius=np.int32(2))
+        assert cfg.tensor_len == 4
+        assert len(gaussian_window(cfg.window_radius, cfg.window_sigma)) == 5
 
 
 @pytest.mark.parametrize(
@@ -1013,8 +1027,10 @@ class TestMetricConfig:
             lambda: zeta_map(np.ones((16, 16, 1)), np.ones((16, 16, 1)), gaussian_window(2, 1.0)),
             "plane must be 2D, got 3D",
         ),
+        (lambda: MetricConfig(tensor_len=2.5), "tensor_len must be an integer, got 2.5"),
+        (lambda: gaussian_window(2.5, 1.0), "window radius must be an integer, got 2.5"),
     ],
-    ids=["normalize-mode", "zeta-3d"],
+    ids=["normalize-mode", "zeta-3d", "config-float-tensor-len", "window-float-radius"],
 )
 def test_input_check_message(call, message):
     with pytest.raises(ValueError) as exc_info:

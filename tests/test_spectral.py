@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import dft2_direct, dft3_direct, frames_of, tpsd_direct
-from tpsdvqa.spectral import read_grid, tpsd_of_tensor, write_grid
+from tpsdvqa.spectral import _PowerSum, read_grid, tpsd_of_tensor, write_grid
 from tpsdvqa.video_io import LumaFrame
 
 
@@ -161,6 +161,44 @@ class TestTpsd:
         a = tpsd_of_tensor(frames_of(static), center_dc=False)
         b = tpsd_of_tensor(frames_of(rolling), center_dc=False)
         assert rel_err(b, a) < 1e-9
+
+
+class TestPowerSum:
+    """The private frame accumulator that ``tpsd_of_tensor`` loops over."""
+
+    @staticmethod
+    def _frames(rng, shape):
+        m, n, o = shape
+        return [rng.integers(0, 256, size=(m, n), dtype=np.uint8) for _ in range(o)]
+
+    @pytest.mark.parametrize("shape", [(6, 8, 3), (7, 9, 4), (6, 9, 2), (7, 8, 5)])
+    @pytest.mark.parametrize("center", [False, True])
+    def test_fold_then_close_is_the_tensor_plane(self, rng, shape, center):
+        frames = self._frames(rng, shape)
+        acc = _PowerSum(center)
+        for pixels in frames:
+            acc.fold(pixels)
+        plane = tpsd_of_tensor([LumaFrame(p) for p in frames], center_dc=center)
+        assert acc.close().tobytes() == plane.tobytes()
+
+    @pytest.mark.parametrize("center", [False, True])
+    def test_interleaved_accumulators_keep_their_own_clip(self, rng, center):
+        # the caller owns the loop: one frame of each clip in turn
+        clips = [self._frames(rng, (10, 12, 4)), self._frames(rng, (10, 12, 4))]
+        accs = [_PowerSum(center), _PowerSum(center)]
+        for frames in zip(*clips):
+            for acc, pixels in zip(accs, frames):
+                acc.fold(pixels)
+        for acc, frames in zip(accs, clips):
+            plane = tpsd_of_tensor([LumaFrame(p) for p in frames], center_dc=center)
+            assert acc.close().tobytes() == plane.tobytes()
+
+    def test_fold_rejects_another_shape(self):
+        acc = _PowerSum()
+        acc.fold(np.zeros((4, 6)))
+        with pytest.raises(ValueError) as exc_info:
+            acc.fold(np.zeros((6, 4)))
+        assert str(exc_info.value) == "tensor frames disagree on shape: (6, 4) vs (4, 6)"
 
 
 class TestGridFormat:
