@@ -19,7 +19,6 @@ import dataclasses
 import json
 import os
 import sys
-import time
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -31,6 +30,7 @@ from .metric import (
     NORMALIZATION_MODES,
     PADDING_MODES,
     MetricConfig,
+    _timed,
     assess,
 )
 from .spectral import tpsd_of_tensor, write_grid
@@ -105,10 +105,10 @@ def _emit(fh: TextIO, record: dict) -> None:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
-    t0 = time.perf_counter()
-    ref_frames = read_yuv420_file(args.ref, args.width, args.height)
-    dist_frames = read_yuv420_file(args.dist, args.width, args.height)
-    read_seconds = time.perf_counter() - t0
+    timings: dict[str, float] = {}
+    with _timed(timings, "read"):
+        ref_frames = read_yuv420_file(args.ref, args.width, args.height)
+        dist_frames = read_yuv420_file(args.dist, args.width, args.height)
 
     def dump_zeta(index: int, zeta: np.ndarray) -> None:
         write_grid(zeta, f"{args.dump_zeta}.tensor{index:03d}.grid")
@@ -120,6 +120,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
         frame_range=args.frames,
         zeta_callback=dump_zeta if args.dump_zeta else None,
     )
+    timings.update(report.timings)
 
     # --out is opened only once scoring has succeeded, so a failure leaves it as it was
     dest = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
@@ -147,12 +148,11 @@ def _cmd_score(args: argparse.Namespace) -> int:
             "dist": args.dist,
             "config": dataclasses.asdict(cfg),
         })
-        for stage, seconds in {"read": read_seconds, **report.timings}.items():
+        for stage, seconds in timings.items():
             _emit(out, {"record": "timing", "stage": stage, "seconds": seconds})
-    total = read_seconds + sum(report.timings.values())
     print(
         f"score {report.video_score:.6f} over {len(report.tensor_scores)} tensor(s) "
-        f"in {total:.2f}s",
+        f"in {sum(timings.values()):.2f}s",
         file=sys.stderr,
     )
     return 0

@@ -266,11 +266,13 @@ def score_manifest(
 
     Entries that share a reference clip, geometry and frame range form a group;
     groups run in the order of their first entries. A group opens its reference
-    and its entries' clips once and scores them in one walk of its tensors,
-    ``metric._score_tensors``, the loop ``assess`` runs for one clip, which also
-    pools each entry's tensor scores into its video score (the group's reports
-    share the walk's stage timings, which no result keeps); the entries' PSNRs
-    are then taken two at a time on the calling thread and one worker. Memory
+    once and its entries' clips in entry order, and scores them in one walk of
+    its tensors, ``metric._score_tensors``, the loop ``assess`` runs for one
+    clip. The walk takes the clips as one list in entry order, a clip that could
+    not be opened going in as its error, and also pools each entry's tensor
+    scores into its video score (the group's reports share the walk's stage
+    timings, which no result keeps); the scored entries' PSNRs are then taken in
+    entry order, two at a time on the calling thread and one worker. Memory
     thus holds one reference plane, normalized once per tensor with its raw
     plane freed at once, and two distorted ones, whatever the clip length or the
     group size. A failure fails only its own entry, and a reference that cannot
@@ -281,51 +283,44 @@ def score_manifest(
     if not entries:
         raise EmptyManifest("manifest has no entries")
     cfg = config or MetricConfig()
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[tuple, list[tuple[int, ManifestEntry]]] = {}
     for i, e in enumerate(entries):
         key = (_clip_key(e.ref_path), e.width, e.height, e.frame_start, e.frame_end)
-        groups.setdefault(key, []).append(i)
-    results: dict[int, EntryResult] = {}
-    for indices in groups.values():
-        results.update(_score_group(entries, indices, cfg))
-    return [results[i] for i in range(len(entries))]
+        groups.setdefault(key, []).append((i, e))
+    results: list[EntryResult] = []
+    for group in groups.values():
+        results += _score_group(group, cfg)
+    return sorted(results, key=lambda r: r.index)
 
 
-def _score_group(
-    entries: Sequence[ManifestEntry],
-    indices: list[int],
-    cfg: MetricConfig,
-) -> dict[int, EntryResult]:
-    first = entries[indices[0]]
+def _score_group(group: list[tuple[int, ManifestEntry]], cfg: MetricConfig) -> list[EntryResult]:
+    first = group[0][1]
     try:
         ref_frames = read_yuv420_file(first.ref_path, first.width, first.height)
     except REPORTED_ERRORS as exc:
-        return {i: _failed(i, entries[i], exc) for i in indices}
+        return [_failed(i, e, exc) for i, e in group]
     frame_range = first.frame_range(len(ref_frames))
-    done: dict[int, EntryResult] = {}
-    dists: dict[int, Sequence[LumaFrame]] = {}
-    for i in indices:
-        entry = entries[i]
-        try:
-            dists[i] = read_yuv420_file(entry.dist_path, entry.width, entry.height)
-        except REPORTED_ERRORS as exc:
-            done[i] = _failed(i, entry, exc)
-    scored = metric._score_tensors(ref_frames, list(dists.values()), cfg, frame_range)
-    reports = {i: report for i, (report, _) in zip(dists, scored) if report is not None}
+    # each entry's clip, or the error that opening it raised, which fails it alone
+    reads = [
+        metric._attempt(lambda e=e: read_yuv420_file(e.dist_path, e.width, e.height))
+        for _, e in group
+    ]
+    dists = [frames if exc is None else exc for frames, exc in reads]
+    outcomes = metric._score_tensors(ref_frames, dists, cfg, frame_range)
+    results = [None if exc is None else _failed(i, e, exc) for (i, e), (_, exc) in zip(group, outcomes)]
     # an entry whose score failed takes no PSNR, as it would one entry at a time
-    for i, (_, exc) in zip(dists, scored):
-        if exc is not None:
-            done[i] = _failed(i, entries[i], exc)
+    scored = [k for k, result in enumerate(results) if result is None]
     lo, hi = frame_range or (0, len(ref_frames) - 1)
     measured = metric._in_pairs(
-        lambda i: psnr(ref_frames[lo : hi + 1], dists[i][lo : hi + 1]), list(reports)
+        lambda k: psnr(ref_frames[lo : hi + 1], dists[k][lo : hi + 1]), scored
     )
-    for (i, report), (psnr_db, exc) in zip(reports.items(), measured):
-        done[i] = (
-            _failed(i, entries[i], exc) if exc is not None
-            else EntryResult(index=i, entry=entries[i], score=report.video_score, psnr_db=psnr_db)
+    for k, (psnr_db, exc) in zip(scored, measured):
+        (i, e), (report, _) = group[k], outcomes[k]
+        results[k] = (
+            _failed(i, e, exc) if exc is not None
+            else EntryResult(index=i, entry=e, score=report.video_score, psnr_db=psnr_db)
         )
-    return done
+    return results
 
 
 def _safe_corr(fn, scores: list[float], labels: list[float]) -> float | None:

@@ -19,8 +19,8 @@ for experimentation.
 
 from __future__ import annotations
 
+import contextlib
 import math
-import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -38,7 +38,7 @@ from .errors import (
     REPORTED_ERRORS,
 )
 from .spectral import tpsd_of_tensor
-from .video_io import FileFrames, LumaFrame, group_tensors
+from .video_io import FileFrames, LumaFrame, _require_integral, group_tensors
 
 __all__ = [
     "NORMALIZATION_MODES",
@@ -64,11 +64,6 @@ ZETA_BAND_ROWS = 64
 def _require_finite_positive(name: str, value: float) -> None:
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
-def _require_integral(name: str, value: object) -> None:
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value}")
 
 
 def gaussian_window(radius: int = 5, sigma: float = 1.5) -> np.ndarray:
@@ -119,12 +114,15 @@ class MetricConfig:
             )
         if self.padding not in PADDING_MODES:
             raise ValueError(f"padding must be one of {PADDING_MODES}, got {self.padding!r}")
+        if not isinstance(self.center_dc, (bool, np.bool_)):
+            raise ValueError(f"center_dc must be a bool, got {self.center_dc!r}")
 
 
 @dataclass(frozen=True)
 class QualityReport:
     """Per-tensor scores and depths, the video score that ``_score_tensors``
-    pools from them, and the stage timings of its walk, which the reports of
+    pools from them, and the stage timings of its walk (``transform``,
+    ``correlate`` and ``pool`` seconds, in that order), which the reports of
     one ``evaluate`` group share."""
 
     tensor_scores: tuple[float, ...]
@@ -421,6 +419,14 @@ def _on_two_threads(here: Callable[[], Any], there: Callable[[], Any]) -> tuple[
         return here(), pending.result()
 
 
+@contextlib.contextmanager
+def _timed(seconds: dict[str, float], stage: str) -> Iterator[None]:
+    """Add the wall time of the ``with`` body to ``seconds[stage]``."""
+    start = time.perf_counter()
+    yield
+    seconds[stage] = seconds.get(stage, 0.0) + time.perf_counter() - start
+
+
 def _attempt(fn: Callable[[], Any]) -> tuple[Any, Exception | None]:
     """``(fn(), None)``, or ``(None, error)`` for an error reported per sequence."""
     try:
@@ -447,37 +453,37 @@ def _in_pairs(
 
 def _score_tensors(
     ref_frames: Sequence[LumaFrame],
-    dists: Sequence[Sequence[LumaFrame]],
+    dists: Sequence[Sequence[LumaFrame] | Exception],
     cfg: MetricConfig,
     frame_range: tuple[int, int] | None = None,
     zeta_callback: Callable[[int, np.ndarray], None] | None = None,
 ) -> list[tuple[QualityReport | None, Exception | None]]:
     """Each of ``dists``' ``(QualityReport, None)`` or ``(None, error)``
-    against ``ref_frames``. A length that differs from the reference fails
-    its sequence alone; a bad range or window, checked before any transform
-    or kernel, or a failing reference plane fails every live sequence.
+    against ``ref_frames``, in the order of ``dists``. An error given in
+    place of a sequence, such as a clip that could not be opened, fails it
+    from the start. A length that differs from the reference fails its
+    sequence alone; a bad range or window, checked before any transform or
+    kernel, or a failing reference plane fails every live sequence.
 
-    Per tensor, ``_in_pairs`` transforms the reference and then each live
-    sequence. The reference plane is normalized once, its raw plane freed at
-    once, and each distorted plane normalized by the same map and scored as
-    its pair joins; the walk stops once nothing is live. Each sequence still
-    live is then pooled with ``video_score``, whose error fails it alone;
-    the reports share one dict of ``transform``, ``correlate`` and ``pool``
-    seconds for the whole walk.
+    One list, indexed like ``dists``, holds each sequence's tensor scores
+    while it is live, and else the error that ended it. Per tensor,
+    ``_in_pairs`` transforms the reference and then each live sequence. The
+    reference plane is normalized once, its raw plane freed at once, and
+    each distorted plane normalized by the same map and scored as its pair
+    joins; the walk stops once nothing is live. Each sequence still live is
+    then pooled with ``video_score``, whose error fails it alone. The
+    reports share one dict of the walk's ``transform`` (the reference's
+    division included), ``correlate`` and ``pool`` seconds, in that order.
     """
-    live: dict[int, list[float]] = {}
-    errors: dict[int, Exception] = {}
-    for k, dist in enumerate(dists):
-        if len(dist) == len(ref_frames):
-            live[k] = []
-        else:
-            errors[k] = FrameCountMismatch(
-                f"reference has {len(ref_frames)} frames, distorted has {len(dist)}"
-            )
+    slots: list[list[float] | Exception] = [
+        dist if isinstance(dist, Exception)
+        else [] if len(dist) == len(ref_frames)
+        else FrameCountMismatch(f"reference has {len(ref_frames)} frames, distorted has {len(dist)}")
+        for dist in dists
+    ]
 
     def fail_live(exc: Exception) -> None:
-        errors.update(dict.fromkeys(live, exc))
-        live.clear()
+        slots[:] = [exc if isinstance(slot, list) else slot for slot in slots]
 
     bounds: list[tuple[int, int]] = []
     try:
@@ -495,47 +501,42 @@ def _score_tensors(
             zeta_callback(index, zeta)
         return tensor_score(zeta)
 
-    seconds = {"transform": 0.0, "correlate": 0.0, "pool": 0.0}
+    seconds = dict.fromkeys(("transform", "correlate", "pool"), 0.0)
     for index, (lo, hi) in enumerate(bounds):
-        if not live:
+        order = [k for k, slot in enumerate(slots) if isinstance(slot, list)]
+        if not order:
             break
-        order = list(live)
         # with two or more live entries, their zeta maps share the reference side
         ref_store = {} if len(order) > 1 else None
-        t0 = time.perf_counter()
-        # each plane comes in a list that the scoring below takes it out of
-        outcomes = _in_pairs(
-            lambda frames: [tpsd_of_tensor(frames[lo : hi + 1], cfg.center_dc)],
-            [ref_frames, *(dists[k] for k in order)],
-        )
-        ref, exc = next(outcomes)
-        if exc is not None:
-            fail_live(exc)  # its error wins over its partner's
-            break
-        normalize = _normalizer(ref[0], cfg.plane_normalization)
-        ref = normalize(ref.pop())
-        for k, (plane, exc) in zip(order, outcomes):
-            t1 = time.perf_counter()
-            seconds["transform"] += t1 - t0
-            if exc is None:
-                # popped from its list, the raw plane is freed once normalized
-                score, exc = _attempt(lambda: correlate(ref, normalize(plane.pop())))
-            if exc is None:
-                live[k].append(score)
-            else:
-                errors[k] = exc
-                del live[k]
-            t0 = time.perf_counter()
-            seconds["correlate"] += t0 - t1
+        with _timed(seconds, "transform"):
+            # each plane comes in a list that the scoring below takes it out of
+            outcomes = _in_pairs(
+                lambda frames: [tpsd_of_tensor(frames[lo : hi + 1], cfg.center_dc)],
+                [ref_frames, *(dists[k] for k in order)],
+            )
+            ref, exc = next(outcomes)
+            if exc is not None:
+                fail_live(exc)  # its error wins over its partner's
+                break
+            normalize = _normalizer(ref[0], cfg.plane_normalization)
+            ref = normalize(ref.pop())
+        for k in order:
+            with _timed(seconds, "transform"):
+                plane, exc = next(outcomes)
+            with _timed(seconds, "correlate"):
+                if exc is None:
+                    # popped from its list, the raw plane is freed once normalized
+                    score, exc = _attempt(lambda: correlate(ref, normalize(plane.pop())))
+                slots[k] = slots[k] + [score] if exc is None else exc
         ref = ref_store = None  # before the next tensor's planes are computed
     depths = tuple(hi - lo + 1 for lo, hi in bounds)
-    t0 = time.perf_counter()
-    reports = {
-        k: _attempt(lambda: QualityReport(tuple(s), video_score(s, cfg.beta), depths, seconds))
-        for k, s in live.items()
-    }
-    seconds["pool"] = time.perf_counter() - t0
-    return [reports[k] if k in reports else (None, errors[k]) for k in range(len(dists))]
+    # the reports hold seconds itself, so they see the pool time the with adds
+    with _timed(seconds, "pool"):
+        return [
+            (None, s) if isinstance(s, Exception)
+            else _attempt(lambda: QualityReport(tuple(s), video_score(s, cfg.beta), depths, seconds))
+            for s in slots
+        ]
 
 
 def assess(

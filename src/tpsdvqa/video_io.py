@@ -13,6 +13,7 @@ rejected rather than converted.
 from __future__ import annotations
 
 import itertools
+import numbers
 import os
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
@@ -125,6 +126,11 @@ def read_yuv420_file(path: str | os.PathLike, width: int, height: int) -> FileFr
     return replace(frames, indices=range(byte_length // frames.frame_size))
 
 
+def _require_integral(name: str, value: object) -> None:
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value}")
+
+
 def _luma_bytes(frame: LumaFrame) -> bytes:
     pixels = frame.pixels
     if pixels.dtype != np.uint8:
@@ -180,13 +186,18 @@ def group_tensors(
     considered among ``frame_count``. A trailing partial group keeps its
     actual depth when it has at least 2 frames; a single trailing frame is
     dropped, since a depth-1 tensor would degenerate to a purely spatial
-    measurement.
+    measurement. ``tensor_len`` and both range bounds must be integers, numpy
+    integers included, and the bounds come back as Python ``int``.
     """
+    _require_integral("tensor_len", tensor_len)
+    tensor_len = int(tensor_len)  # numpy integers would make numpy bounds
     if tensor_len < 2:
         raise ValueError(f"tensor_len must be >= 2, got {tensor_len}")
     start, end = 0, frame_count - 1
     if frame_range is not None:
-        start, end = frame_range
+        for name, bound in zip(("frame range start", "frame range end"), frame_range):
+            _require_integral(name, bound)
+        start, end = map(int, frame_range)
         if start < 0 or end >= frame_count:
             raise ValueError(
                 f"frame range {start}:{end} outside sequence of {frame_count} frames"

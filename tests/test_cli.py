@@ -87,6 +87,17 @@ class TestScore:
         expected = assess(ref, dist, MetricConfig(tensor_len=4)).video_score
         assert summary["video_score"] == expected
 
+    def test_timing_records_come_in_stage_order(self, capsys, clip_pair):
+        ref_path, dist_path = clip_pair
+        code, out, _ = run_cli(
+            capsys,
+            ["score", "--ref", str(ref_path), "--dist", str(dist_path)] + SMALL,
+        )
+        assert code == 0
+        timings = [r for r in parse_records(out) if r["record"] == "timing"]
+        assert [r["stage"] for r in timings] == ["read", "transform", "correlate", "pool"]
+        assert all(r["seconds"] >= 0.0 for r in timings)
+
     def test_deterministic_output_modulo_timing(self, capsys, clip_pair):
         ref_path, dist_path = clip_pair
         argv = ["score", "--ref", str(ref_path), "--dist", str(dist_path)] + SMALL

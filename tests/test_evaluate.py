@@ -709,6 +709,20 @@ class TestReferenceReuse:
         dist = read_yuv420_file(partner.entry.dist_path, 64, 48)
         assert partner.psnr_db == real_psnr(ref, dist)
 
+    def test_a_float_frame_start_fails_its_entry_alone(self, shared_refs):
+        # group_tensors refuses the float bound with a ValueError, which is
+        # reported per entry, so the entry beside it on A still gets a score
+        entries = (
+            ManifestEntry(shared_refs["A"], shared_refs["A0"], 64, 48, 1.0, "noise", frame_start=2.0),
+            ManifestEntry(shared_refs["A"], shared_refs["A1"], 64, 48, 2.0, "noise"),
+        )
+        results = score_manifest(entries, self.CFG)
+        assert (results[0].error, results[0].error_message) == (
+            "ValueError", "frame range start must be an integer, got 2.0"
+        )
+        assert results[1].error is None and results[1].score is not None
+        assert results == [_per_entry(i, e, self.CFG) for i, e in enumerate(entries)]
+
     def test_memory_does_not_grow_with_clip_length(self, tmp_path):
         # one reference plane is held at a time, so a group of two 120-frame
         # entries peaks like a group of two 30-frame ones (4 tensors vs 1)
@@ -800,6 +814,46 @@ class TestEntryPairs:
         assert [r.error for r in results] == ["OSError", None, None]
         # per tensor: one reference plane and the two good entries' planes
         assert len(count_planes) == 2 * (1 + 2)
+        assert results == [_per_entry(i, e, cfg) for i, e in enumerate(entries)]
+
+    def test_one_group_holds_every_kind_of_entry_failure(self, shared_refs, monkeypatch):
+        # an unopenable clip, a short clip and a failing distorted plane sit
+        # between good entries: each fails alone, and the good entries take
+        # their PSNRs in entry order, two at a time from the first
+        self.failing_for(monkeypatch, shared_refs["A2"])
+        caller = threading.get_ident()
+        measured = {True: [], False: []}
+        real_psnr = tpsdvqa.evaluate.psnr
+
+        def recording(ref, dist):
+            measured[threading.get_ident() == caller].append(dist.path)
+            return real_psnr(ref, dist)
+
+        monkeypatch.setattr(tpsdvqa.evaluate, "psnr", recording)
+        cfg = MetricConfig(tensor_len=4)  # 2 tensors
+        dists = ("A0", "missing", "A1", "Ashort", "A2", "A1", "A0")
+        entries = self.entries(shared_refs, *dists)
+        results = score_manifest(entries, cfg)
+        assert [r.error for r in results] == [
+            None, "FileNotFoundError", None, "FrameCountMismatch", "OSError", None, None
+        ]
+        good = [shared_refs[d] for d in ("A0", "A1", "A1", "A0")]
+        assert measured == {True: good[0::2], False: good[1::2]}
+        assert results == [_per_entry(i, e, cfg) for i, e in enumerate(entries)]
+
+    def test_a_failing_reference_plane_fails_each_live_entry_with_its_error(
+        self, shared_refs, monkeypatch
+    ):
+        # entries that failed before the first transform keep their own errors
+        self.failing_for(monkeypatch, shared_refs["A"])
+        cfg = MetricConfig(tensor_len=4)  # 2 tensors
+        entries = self.entries(shared_refs, "A0", "Ashort", "missing", "A1")
+        results = score_manifest(entries, cfg)
+        assert [r.error for r in results] == [
+            "OSError", "FrameCountMismatch", "FileNotFoundError", "OSError"
+        ]
+        assert results[0].error_message == results[3].error_message == "cannot read A.yuv"
+        assert results[1].error_message == "reference has 8 frames, distorted has 6"
         assert results == [_per_entry(i, e, cfg) for i, e in enumerate(entries)]
 
     def test_work_splits_over_the_caller_and_one_worker_at_a_time(

@@ -799,6 +799,25 @@ class TestAssess:
         blocks = calls.count("_moments") // 3
         assert calls.count("_smooth") == 2 * blocks + 3 * 3 * blocks
 
+    def test_reports_of_one_walk_share_its_stage_timings(self):
+        # the walk's stage clock adds up transform, correlate and pool, in
+        # that order, into one dict that every report of the walk holds
+        frames = make_moving_texture(32, 32, 8, seed=3)
+        dists = [
+            apply_distortion(frames, DistortionSpec("gaussian-noise", level, seed=4))
+            for level in (4.0, 12.0, 36.0)
+        ]
+        scored = tpsdvqa.metric._score_tensors(frames, dists, MetricConfig(tensor_len=4))
+        reports = [report for report, _ in scored]
+        assert [exc for _, exc in scored] == [None] * 3
+        timings = reports[0].timings
+        assert list(timings) == ["transform", "correlate", "pool"]
+        assert all(np.isfinite(v) and v >= 0.0 for v in timings.values())
+        assert all(report.timings is timings for report in reports)
+        single = assess(frames, dists[0], MetricConfig(tensor_len=4)).timings
+        assert list(single) == ["transform", "correlate", "pool"]
+        assert all(np.isfinite(v) and v >= 0.0 for v in single.values())
+
     def test_frame_count_mismatch(self):
         frames = make_moving_texture(32, 32, 6, seed=1)
         with pytest.raises(FrameCountMismatch):
@@ -1004,6 +1023,7 @@ class TestMetricConfig:
             {"tensor_len": 4.0},
             {"window_radius": 2.5},
             {"window_radius": 5.0},
+            {"center_dc": "false"},
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -1029,8 +1049,12 @@ class TestMetricConfig:
         ),
         (lambda: MetricConfig(tensor_len=2.5), "tensor_len must be an integer, got 2.5"),
         (lambda: gaussian_window(2.5, 1.0), "window radius must be an integer, got 2.5"),
+        (lambda: MetricConfig(center_dc="false"), "center_dc must be a bool, got 'false'"),
     ],
-    ids=["normalize-mode", "zeta-3d", "config-float-tensor-len", "window-float-radius"],
+    ids=[
+        "normalize-mode", "zeta-3d", "config-float-tensor-len", "window-float-radius",
+        "config-string-center-dc",
+    ],
 )
 def test_input_check_message(call, message):
     with pytest.raises(ValueError) as exc_info:

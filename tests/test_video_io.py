@@ -246,6 +246,24 @@ class TestGroupTensors:
         with pytest.raises(ValueError, match=r"^frame range 5:2 ends before it starts$"):
             group_tensors(8, 4, frame_range=(5, 2))
 
+    @pytest.mark.parametrize("args, message", [
+        ((10, 2.5), "tensor_len must be an integer, got 2.5"),
+        ((10, 4.0), "tensor_len must be an integer, got 4.0"),
+        ((10, 4, (0.0, 9)), "frame range start must be an integer, got 0.0"),
+        ((10, 4, (0, 9.0)), "frame range end must be an integer, got 9.0"),
+    ], ids=["fractional-len", "float-len", "float-start", "float-end"])
+    def test_rejects_non_integers_with_a_value_error(self, args, message):
+        with pytest.raises(ValueError) as exc_info:
+            group_tensors(*args)
+        assert type(exc_info.value) is ValueError
+        assert str(exc_info.value) == message
+
+    def test_numpy_integers_give_plain_int_bounds(self):
+        bounds = group_tensors(10, np.int64(4), (np.int64(1), np.int32(9)))
+        assert bounds == [(1, 4), (5, 8)]
+        assert all(type(b) is int for pair in bounds for b in pair)
+        assert all(type(b) is int for pair in group_tensors(9, np.int64(4)) for b in pair)
+
     @settings(deadline=None, max_examples=60)
     @given(
         count=st.integers(min_value=2, max_value=200),
