@@ -264,8 +264,9 @@ def score_manifest(
 ) -> list[EntryResult]:
     """Score every manifest entry, collecting per-entry failures instead of aborting.
 
-    Entries that share a reference clip, geometry and frame range form a group;
-    groups run in the order of their first entries. A group opens its reference
+    Entries that share a reference clip, geometry and frame range form a group,
+    the range's bounds equal in value and type (``2.0`` is not a valid bound,
+    ``2`` is); groups run in the order of their first entries. A group opens its reference
     once and its entries' clips in entry order, and scores them in one walk of
     its tensors, ``metric._score_tensors``, the loop ``assess`` runs for one
     clip. The walk takes the clips as one list in entry order, a clip that could
@@ -273,9 +274,8 @@ def score_manifest(
     scores into its video score (the group's reports share the walk's stage
     timings, which no result keeps); the scored entries' PSNRs are then taken in
     entry order, two at a time on the calling thread and one worker. Memory
-    thus holds one reference plane, normalized once per tensor with its raw
-    plane freed at once, and two distorted ones, whatever the clip length or the
-    group size. A failure fails only its own entry, and a reference that cannot
+    thus holds one reference plane, normalized in place once per tensor, and two
+    distorted ones, whatever the clip length or the group size. A failure fails only its own entry, and a reference that cannot
     be opened, or whose plane fails, fails every entry still live in its group.
     Results come back in manifest order, equal to scoring each entry on its own.
     A manifest without entries raises EmptyManifest.
@@ -285,7 +285,8 @@ def score_manifest(
     cfg = config or MetricConfig()
     groups: dict[tuple, list[tuple[int, ManifestEntry]]] = {}
     for i, e in enumerate(entries):
-        key = (_clip_key(e.ref_path), e.width, e.height, e.frame_start, e.frame_end)
+        bounds = (e.frame_start, type(e.frame_start), e.frame_end, type(e.frame_end))
+        key = (_clip_key(e.ref_path), e.width, e.height, *bounds)
         groups.setdefault(key, []).append((i, e))
     results: list[EntryResult] = []
     for group in groups.values():

@@ -169,12 +169,18 @@ def _plane_pair(
 
 
 def _normalizer(ref: np.ndarray, mode: str) -> Callable[[np.ndarray], np.ndarray]:
-    """The per-plane map of ``normalize_planes``, fixed by the reference plane."""
+    """The per-plane map of ``normalize_planes``, fixed by the reference plane.
+
+    It writes into the float64 plane it is given and returns it, so the
+    caller must own that plane; the walk's planes are its own.
+    """
     if mode == "log10":
-        return lambda plane: np.log10(1.0 + plane)
+        return lambda plane: np.log10(np.add(plane, 1.0, out=plane), out=plane)
     scale = float(ref.max()) if mode == "ref-max" else 0.0
     # the map keeps the scale, not the plane; a NaN maximum still divides
-    return (lambda plane: plane) if scale <= 0.0 else (lambda plane: plane / scale)
+    if scale <= 0.0:
+        return lambda plane: plane
+    return lambda plane: np.divide(plane, scale, out=plane)
 
 
 def normalize_planes(
@@ -184,14 +190,17 @@ def normalize_planes(
 
     ``ref-max`` divides both planes by the reference plane's maximum entry
     (no-op when the reference is all zeros), ``log10`` maps each plane to
-    ``log10(1 + plane)`` and ``none`` passes both through. Walks normalize each
-    tensor's reference plane once by this map, and free its raw plane at once.
+    ``log10(1 + plane)`` and ``none`` returns both as they are. The inputs are
+    never written: the other modes map copies. Walks normalize each tensor's
+    reference plane once by this map, in place, as they do each distorted plane.
     """
     if mode not in NORMALIZATION_MODES:
         raise ValueError(f"unknown normalization {mode!r}")
     ref, dist, _ = _plane_pair(ref, dist)
+    if mode == "none":
+        return ref, dist
     normalize = _normalizer(ref, mode)
-    return normalize(ref), normalize(dist)
+    return normalize(ref.copy()), normalize(dist.copy())
 
 
 def _smooth(
@@ -468,10 +477,10 @@ def _score_tensors(
     One list, indexed like ``dists``, holds each sequence's tensor scores
     while it is live, and else the error that ended it. Per tensor,
     ``_in_pairs`` transforms the reference and then each live sequence. The
-    reference plane is normalized once, its raw plane freed at once, and
-    each distorted plane normalized by the same map and scored as its pair
-    joins; the walk stops once nothing is live. Each sequence still live is
-    then pooled with ``video_score``, whose error fails it alone. The
+    walk owns these planes and normalizes them in place: the reference plane
+    once, and each distorted plane by the same map as its pair joins, before
+    it is scored; the walk stops once nothing is live. Each sequence still
+    live is then pooled with ``video_score``, whose error fails it alone. The
     reports share one dict of the walk's ``transform`` (the reference's
     division included), ``correlate`` and ``pool`` seconds, in that order.
     """
@@ -525,7 +534,7 @@ def _score_tensors(
                 plane, exc = next(outcomes)
             with _timed(seconds, "correlate"):
                 if exc is None:
-                    # popped from its list, the raw plane is freed once normalized
+                    # popped from its list, the plane is freed once scored
                     score, exc = _attempt(lambda: correlate(ref, normalize(plane.pop())))
                 slots[k] = slots[k] + [score] if exc is None else exc
         ref = ref_store = None  # before the next tensor's planes are computed

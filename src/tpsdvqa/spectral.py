@@ -37,39 +37,56 @@ __all__ = [
 ]
 
 
+# bytes of the float64 row block that each frame is copied into and
+# transformed through; it keeps the block and its half spectrum in cache
+_BLOCK_BYTES = 512 * 1024
+
+
 class _PowerSum:
     """The plane of equally sized frames, folded in one at a time.
 
-    The first ``fold`` makes one float64 frame buffer and one ``(M, N//2 + 1)``
-    half-spectrum power sum: memory is O(frame) whatever the depth. ``close``
-    frees the buffer, then builds the plane by slice copies rotated by the DC
-    shift, from the point symmetry T[h, k] == T[(M-h) % M, (N-k) % N], so the
-    unshifted plane equals its point mirror bit for bit outside columns 0 and
-    N/2; transient memory is about 2.5 planes.
+    The first ``fold`` makes one float64 row block, of at most ``_BLOCK_BYTES``
+    and an eighth of the rows, one complex ``(M, N//2 + 1)`` spectrum buffer
+    and one half-spectrum power sum: memory is O(frame) whatever the depth.
+    Each frame runs ``rfft2`` as its two passes: its rows go a block at a time
+    through ``rfft`` into the buffer, then the buffer's columns through an
+    ``fft`` that may overwrite it, with the same bits as ``rfft2``. ``close``
+    builds the plane inside the buffer, which holds M*(N+2) floats, by slice
+    copies rotated by the DC shift, from the point symmetry
+    T[h, k] == T[(M-h) % M, (N-k) % N], so the unshifted plane equals its
+    point mirror bit for bit outside columns 0 and N/2; transient memory is
+    about 1.5 planes.
     """
 
     def __init__(self, center_dc: bool = True) -> None:
-        self._center_dc, self._frame, self._sum = center_dc, None, None
+        self._center_dc = center_dc
+        self._shape = self._block = self._spec = self._sum = None
 
     def fold(self, pixels: np.ndarray) -> None:
-        frame = self._frame
-        if frame is None:
-            m, n = pixels.shape
-            frame = self._frame = np.empty((m, n), dtype=np.float64)
+        if self._shape is None:
+            m, n = self._shape = pixels.shape
+            rows = max(1, min(_BLOCK_BYTES // (8 * n), -(-m // 8)))
+            self._block = np.empty((rows, n), dtype=np.float64)
+            self._spec = np.empty((m, n // 2 + 1), dtype=np.complex128)
             self._sum = np.zeros((m, n // 2 + 1), dtype=np.float64)
-        elif pixels.shape != frame.shape:
-            raise ValueError(f"tensor frames disagree on shape: {pixels.shape} vs {frame.shape}")
-        np.copyto(frame, pixels)
+        elif pixels.shape != self._shape:
+            raise ValueError(f"tensor frames disagree on shape: {pixels.shape} vs {self._shape}")
+        block, spec, m = self._block, self._spec, self._shape[0]
+        for lo in range(0, m, len(block)):
+            part = block[: m - lo]  # the last block may be short
+            np.copyto(part, pixels[lo : lo + len(part)])
+            spec[lo : lo + len(part)] = _fft.rfft(part, axis=1)
         # interleaved real and imaginary parts, squared in place: the same
-        # products as re*re and im*im, without two more half planes
-        spec = _fft.rfft2(frame).view(np.float64)
-        np.multiply(spec, spec, out=spec)
-        self._sum += spec[:, 0::2]
-        self._sum += spec[:, 1::2]
+        # products as re*re and im*im, without two more half planes; the fft
+        # may ignore overwrite_x, so its result is read, not the buffer
+        power = _fft.fft(spec, axis=0, overwrite_x=True).view(np.float64)
+        np.multiply(power, power, out=power)
+        self._sum += power[:, 0::2]
+        self._sum += power[:, 1::2]
 
     def close(self) -> np.ndarray:
-        (m, n), s_half = self._frame.shape, self._sum
-        self._frame = self._sum = None
+        (m, n), s_half, spec = self._shape, self._sum, self._spec
+        self._shape = self._block = self._spec = self._sum = None
         n_half = n // 2 + 1
         s_half /= m * n
         # plane bin (h, k) lands at ((h + rs) % M, (k + cs) % N); it is half-plane
@@ -77,7 +94,7 @@ class _PowerSum:
         # half plane reversed in rows and columns, landing one row further down
         rs, cs = (m // 2, n // 2) if self._center_dc else (0, 0)
         kept, start = min(n - cs, n_half), (n_half + cs) % n  # kept: columns before a wrap
-        plane = np.empty((m, n), dtype=np.float64)
+        plane = spec.view(np.float64).reshape(-1)[: m * n].reshape(m, n)
         for cols, half, shift in (
             (slice(cs, cs + kept), s_half[:, :kept], rs),
             (slice(0, n_half - kept), s_half[:, kept:], rs),
@@ -91,9 +108,12 @@ class _PowerSum:
 def tpsd_of_tensor(tensor: Sequence[LumaFrame], center_dc: bool = True) -> np.ndarray:
     """Time-aggregated PSD plane straight from a tensor, one frame at a time.
 
-    Returns the ``(M, N)`` float64 plane, with the zero-frequency bin moved
-    to ``(M//2, N//2)`` when ``center_dc`` is set. ``tensor`` is a sequence
-    of at least 2 equally sized frames, iterated once into one ``_PowerSum``.
+    Returns the C-contiguous ``(M, N)`` float64 plane, with the
+    zero-frequency bin moved to ``(M//2, N//2)`` when ``center_dc`` is set;
+    it is built inside the ``_PowerSum``'s spectrum buffer, so no plane is
+    allocated beside it. ``tensor`` is a sequence of at least 2 equally sized
+    frames, iterated once into that accumulator; each frame is copied to
+    float64 a row block at a time, so float32 frames keep float64 precision.
     """
     if len(tensor) < 2:
         raise ValueError(f"tensor needs at least 2 frames, got {len(tensor)}")

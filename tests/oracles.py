@@ -3,8 +3,9 @@
 Everything here is deliberately naive: direct summation DFTs, double-loop
 window statistics, per-pixel arithmetic. Nothing imports the library's fast
 paths (scipy.fft / scipy.ndimage), so agreement between the two routes is
-meaningful evidence. The one exception, ``zeta_whole_plane``, checks a
-restructuring rather than the arithmetic and says so.
+meaningful evidence. The two exceptions, ``tpsd_rfft2`` and
+``zeta_whole_plane``, check a restructuring rather than the arithmetic and
+say so.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.fft
 
 from tpsdvqa.metric import local_moments
 from tpsdvqa.video_io import LumaFrame
@@ -138,6 +140,27 @@ def zeta_direct(
     """Straight-line correlation map from the double-loop moments."""
     _, _, sig_x, sig_y, cov = local_moments_direct(x, y, weights, padding)
     return (cov + c) / (sig_x * sig_y + c)
+
+
+def tpsd_rfft2(x: np.ndarray, center_dc: bool) -> np.ndarray:
+    """The plane from one whole-frame ``scipy.fft.rfft2`` per frame.
+
+    Unlike the rest of this module it uses scipy's transform and the library's
+    order of additions, so that the library's fold, which runs each transform
+    as its row and column passes in a reused buffer, can be required to equal
+    it byte for byte.
+    """
+    m, n, o = x.shape
+    half = np.zeros((m, n // 2 + 1))
+    for t in range(o):
+        spec = scipy.fft.rfft2(np.ascontiguousarray(x[:, :, t], dtype=np.float64))
+        half += spec.real * spec.real
+        half += spec.imag * spec.imag
+    half /= m * n
+    # bin (h, k) past the half plane is bin ((M - h) % M, N - k)
+    mirrored = half[(-np.arange(m)) % m][:, n - np.arange(n // 2 + 1, n)]
+    plane = np.concatenate([half, mirrored], axis=1)
+    return np.fft.fftshift(plane) if center_dc else plane
 
 
 def zeta_whole_plane(

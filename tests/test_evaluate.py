@@ -651,6 +651,18 @@ class TestReferenceReuse:
         assert results == [_per_entry(i, e, self.CFG) for i, e in enumerate(entries)]
         assert results[0].score != results[2].score
 
+    @pytest.mark.parametrize("starts", [(2, 2.0), (2.0, 2)], ids=["int-first", "float-first"])
+    def test_bounds_equal_in_value_but_not_type_group_apart(self, shared_refs, starts):
+        # 2.0 is no frame index: its entry fails as it would alone, in either order
+        entries = tuple(
+            ManifestEntry(shared_refs["A"], shared_refs[d], 64, 48, float(i), "noise", start)
+            for i, (d, start) in enumerate(zip(("A0", "A1"), starts))
+        )
+        results = score_manifest(entries, self.CFG)
+        expected = [None if isinstance(start, int) else "ValueError" for start in starts]
+        assert [r.error for r in results] == expected
+        assert results == [_per_entry(i, e, self.CFG) for i, e in enumerate(entries)]
+
     def test_two_spellings_of_a_reference_share_its_planes(self, shared_refs, count_planes):
         spelled = shared_refs["A"].replace("/A.yuv", "/./A.yuv")
         entries = (

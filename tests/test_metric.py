@@ -18,6 +18,7 @@ from tpsdvqa.errors import (
 )
 from tpsdvqa.evaluate import psnr
 from tpsdvqa.metric import (
+    NORMALIZATION_MODES,
     PADDING_MODES,
     ZETA_BAND_ROWS,
     MetricConfig,
@@ -521,6 +522,14 @@ class TestNormalizePlanes:
         dist = rng.random((4, 4))
         nr, nd = normalize_planes(ref, dist, "none")
         assert nr is ref and nd is dist
+
+    @pytest.mark.parametrize("mode", NORMALIZATION_MODES)
+    def test_inputs_are_never_written(self, rng, mode):
+        # the walk normalizes its own planes in place; the public call copies
+        ref, dist = rng.random((8, 8)) * 1e9, rng.random((8, 8)) * 1e9
+        before = ref.tobytes(), dist.tobytes()
+        normalize_planes(ref, dist, mode)
+        assert (ref.tobytes(), dist.tobytes()) == before
 
 
 class TestPooling:

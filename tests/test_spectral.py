@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import dft2_direct, dft3_direct, frames_of, tpsd_direct
+from oracles import dft2_direct, dft3_direct, frames_of, tpsd_direct, tpsd_rfft2
+import tpsdvqa.spectral
 from tpsdvqa.spectral import _PowerSum, read_grid, tpsd_of_tensor, write_grid
 from tpsdvqa.video_io import LumaFrame
 
@@ -152,6 +153,24 @@ class TestTpsd:
             tracemalloc.stop()
         assert peak - base <= 3 * plane_bytes
 
+    def test_plane_memory_at_720p_is_two_planes(self, rng):
+        # one spectrum buffer of M*(N+2) floats that the plane is built in,
+        # the half-plane sum and a row block, but no frame-sized copy
+        m, n = 720, 1280
+        tensor = tuple(
+            LumaFrame(rng.integers(0, 256, size=(m, n), dtype=np.uint8)) for _ in range(2)
+        )
+        plane_bytes = m * n * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            tpsd_of_tensor(tensor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 2 * plane_bytes
+
     def test_circular_shift_invariance(self, rng):
         # aggregating over temporal frequency discards per-frame circular
         # shifts: a rolling pattern and the static pattern share one plane
@@ -199,6 +218,41 @@ class TestPowerSum:
         with pytest.raises(ValueError) as exc_info:
             acc.fold(np.zeros((6, 4)))
         assert str(exc_info.value) == "tensor frames disagree on shape: (6, 4) vs (4, 6)"
+
+
+class TestSpectrumBuffer:
+    """The fold's row blocks and reused spectrum buffer, against whole-frame ``rfft2``."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 64, 3), (97, 131, 2), (720, 1280, 2)],
+        ids=["one-block", "rows-not-a-multiple-of-the-block", "720p"],
+    )
+    @pytest.mark.parametrize("center", [False, True])
+    def test_matches_whole_frame_rfft2_byte_for_byte(self, rng, shape, center):
+        x = rng.random(shape) * 255
+        plane = tpsd_of_tensor(frames_of(x), center)
+        assert plane.tobytes() == tpsd_rfft2(x, center).tobytes()
+
+    def test_float32_frames_transform_in_float64(self, rng):
+        x = (rng.random((97, 131, 3)) * 255).astype(np.float32)
+        plane = tpsd_of_tensor(frames_of(x))
+        assert plane.tobytes() == tpsd_of_tensor(frames_of(x.astype(np.float64))).tobytes()
+
+    @pytest.mark.parametrize("center", [False, True])
+    def test_plane_does_not_rely_on_overwrite_x(self, rng, monkeypatch, center):
+        x = rng.random((48, 64, 3)) * 255
+        expected = tpsd_of_tensor(frames_of(x), center)
+        real_fft, asked = tpsdvqa.spectral._fft.fft, []
+
+        def copying(a, *args, overwrite_x=False, **kwargs):
+            # scipy may ignore overwrite_x: a new array, the input left as it was
+            asked.append(overwrite_x)
+            return real_fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(tpsdvqa.spectral._fft, "fft", copying)
+        assert tpsd_of_tensor(frames_of(x), center).tobytes() == expected.tobytes()
+        assert asked == [True] * 3
 
 
 class TestGridFormat:
